@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "lcp/accessible/accessible_schema.h"
+#include "lcp/base/strings.h"
 #include "lcp/interp/encode.h"
 #include "lcp/interp/tableau.h"
 #include "lcp/schema/parser.h"
@@ -29,7 +30,7 @@ ChainCase MakeChainCase(int n) {
   ChainCase c;
   std::vector<RelationId> rels;
   for (int i = 0; i <= n; ++i) {
-    rels.push_back(c.schema.AddRelation("P" + std::to_string(i), 1).value());
+    rels.push_back(c.schema.AddRelation(StrCat("P", i), 1).value());
   }
   std::vector<FormulaPtr> parts;
   parts.push_back(

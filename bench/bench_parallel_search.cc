@@ -1,6 +1,6 @@
-// Parallel proof search: wall-clock speedup of the work-stealing driver
-// over the sequential driver on a deliberately hard workload, plus the
-// sequential-mode (parallelism=1) overhead of the refactoring.
+// Parallel proof search: wall-clock speedup of the work-stealing driver at
+// 2/4/8 workers over the same driver at 1 worker, on a deliberately hard
+// workload.
 //
 // The workload is a chain query R0(x0,x1) ∧ ... ∧ R{k-1}(x_{k-1},x_k) where
 // every relation carries `m` alternative free-access methods with slightly
@@ -16,9 +16,6 @@
 //  - BM_ParallelSearch/workers:1 vs workers:2/4/8 — the speedup curve.
 //    Meaningful only on a host with that many cores; the summary prints the
 //    host core count next to the results.
-//  - workers:1 vs the pre-refactor sequential driver — tracked by
-//    BM_SearchScaling in bench_search_scaling.cc (same code path), budget
-//    <= 2% regression.
 
 #include <benchmark/benchmark.h>
 
@@ -27,6 +24,7 @@
 #include <thread>
 
 #include "lcp/accessible/accessible_schema.h"
+#include "lcp/base/strings.h"
 #include "lcp/planner/proof_search.h"
 #include "lcp/schema/parser.h"
 #include "lcp/schema/schema.h"
@@ -47,22 +45,17 @@ Workload BuildChainWorkload(int chain_len, int methods_per_relation) {
   w.schema = std::make_unique<Schema>();
   std::string body;
   for (int i = 0; i < chain_len; ++i) {
-    RelationId rel =
-        w.schema->AddRelation("R" + std::to_string(i), 2).value();
+    RelationId rel = w.schema->AddRelation(StrCat("R", i), 2).value();
     for (int m = 0; m < methods_per_relation; ++m) {
       // Distinct costs so the optimum is unique and the incumbent bound has
       // something to cut; kept close so cost pruning alone cannot collapse
       // the space early.
       double cost = 1.0 + 0.1 * m + 0.01 * i;
-      w.schema
-          ->AddAccessMethod("mt_r" + std::to_string(i) + "_" +
-                                std::to_string(m),
-                            rel, {}, cost)
+      w.schema->AddAccessMethod(StrCat("mt_r", i, "_", m), rel, {}, cost)
           .value();
     }
     if (i > 0) body += ", ";
-    body += "R" + std::to_string(i) + "(x" + std::to_string(i) + ", x" +
-            std::to_string(i + 1) + ")";
+    body += StrCat("R", i, "(x", i, ", x", i + 1, ")");
   }
   w.query = ParseQuery(*w.schema, "Q() :- " + body).value();
   return w;

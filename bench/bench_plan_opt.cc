@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "lcp/base/strings.h"
 #include "lcp/plan/opt/pass_manager.h"
 #include "lcp/plan/validate.h"
 #include "lcp/runtime/executor.h"
@@ -51,10 +52,10 @@ Family MakeAccessRedundant(int copies, int rows) {
   for (int i = 0; i < copies; ++i) {
     AccessCommand access;
     access.method = 0;
-    access.output_table = "t" + std::to_string(i);
+    access.output_table = StrCat("t", i);
     access.output_columns = {{"a", 0}, {"b", 1}};
     family.plan.commands.push_back(std::move(access));
-    RaExprPtr scan = RaExpr::TempScan("t" + std::to_string(i));
+    RaExprPtr scan = RaExpr::TempScan(StrCat("t", i));
     unioned = unioned ? RaExpr::Union(std::move(unioned), std::move(scan))
                       : std::move(scan);
   }

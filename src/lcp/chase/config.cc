@@ -5,15 +5,33 @@
 namespace lcp {
 
 namespace {
-const std::vector<int> kNoFacts;
 const std::vector<ChaseTermId> kNoTerms;
 }  // namespace
 
 bool ChaseConfig::Add(const Fact& fact) {
-  if (!index_.insert(fact).second) return false;
-  by_relation_[fact.relation].push_back(static_cast<int>(facts_.size()));
+  const size_t hash = FactHash::Hash(fact.relation, fact.terms);
+  if (!slots_.empty() &&
+      slots_[SlotOf(fact.relation, fact.terms, hash)] >= 0) {
+    return false;
+  }
+  if (2 * (facts_.size() + 1) > slots_.size()) GrowSlots();
+  slots_[SlotOf(fact.relation, fact.terms, hash)] =
+      static_cast<int32_t>(facts_.size());
+  const size_t r = static_cast<size_t>(fact.relation);
+  if (r >= by_relation_.size()) by_relation_.resize(r + 1);
+  by_relation_[r].push_back(static_cast<int>(facts_.size()));
   facts_.push_back(fact);
   return true;
+}
+
+void ChaseConfig::GrowSlots() {
+  slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), -1);
+  for (size_t i = 0; i < facts_.size(); ++i) {
+    const Fact& fact = facts_[i];
+    slots_[SlotOf(fact.relation, fact.terms,
+                  FactHash::Hash(fact.relation, fact.terms))] =
+        static_cast<int32_t>(i);
+  }
 }
 
 void ChaseConfig::EnsureIndexed() const {
@@ -43,11 +61,6 @@ void ChaseConfig::CatchUpPositionalIndexLocked() const {
     }
   }
   indexed_up_to_.store(facts_.size(), std::memory_order_release);
-}
-
-const std::vector<int>& ChaseConfig::FactsOf(RelationId relation) const {
-  auto it = by_relation_.find(relation);
-  return it == by_relation_.end() ? kNoFacts : it->second;
 }
 
 const std::vector<int>& ChaseConfig::FactsWith(RelationId relation,

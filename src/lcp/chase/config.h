@@ -6,7 +6,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -38,12 +37,12 @@ class ChaseConfig {
   /// stays as cheap as the fact set itself.
   ChaseConfig(const ChaseConfig& other)
       : facts_(other.facts_),
-        index_(other.index_),
+        slots_(other.slots_),
         by_relation_(other.by_relation_) {}
   ChaseConfig& operator=(const ChaseConfig& other) {
     if (this != &other) {
       facts_ = other.facts_;
-      index_ = other.index_;
+      slots_ = other.slots_;
       by_relation_ = other.by_relation_;
       by_position_.clear();
       terms_at_.clear();
@@ -53,7 +52,7 @@ class ChaseConfig {
   }
   ChaseConfig(ChaseConfig&& other) noexcept
       : facts_(std::move(other.facts_)),
-        index_(std::move(other.index_)),
+        slots_(std::move(other.slots_)),
         by_relation_(std::move(other.by_relation_)),
         by_position_(std::move(other.by_position_)),
         terms_at_(std::move(other.terms_at_)),
@@ -63,7 +62,7 @@ class ChaseConfig {
   ChaseConfig& operator=(ChaseConfig&& other) noexcept {
     if (this != &other) {
       facts_ = std::move(other.facts_);
-      index_ = std::move(other.index_);
+      slots_ = std::move(other.slots_);
       by_relation_ = std::move(other.by_relation_);
       by_position_ = std::move(other.by_position_);
       terms_at_ = std::move(other.terms_at_);
@@ -78,14 +77,24 @@ class ChaseConfig {
   /// Adds a fact; returns true if it was new.
   bool Add(const Fact& fact);
   bool Contains(const Fact& fact) const {
-    return index_.find(fact) != index_.end();
+    return Contains(fact.relation, fact.terms);
+  }
+  /// Contains(Fact(relation, terms)) without building the fact.
+  bool Contains(RelationId relation,
+                const std::vector<ChaseTermId>& terms) const {
+    return !slots_.empty() &&
+           slots_[SlotOf(relation, terms,
+                         FactHash::Hash(relation, terms))] >= 0;
   }
 
   size_t size() const { return facts_.size(); }
   const std::vector<Fact>& facts() const { return facts_; }
 
   /// Indexes into facts() of the facts over `relation`, ascending.
-  const std::vector<int>& FactsOf(RelationId relation) const;
+  const std::vector<int>& FactsOf(RelationId relation) const {
+    const size_t r = static_cast<size_t>(relation);
+    return r < by_relation_.size() ? by_relation_[r] : kNoFacts;
+  }
 
   /// Indexes into facts() of the facts over `relation` whose term at
   /// `position` equals `term`, ascending. A single hash probe into the
@@ -151,6 +160,21 @@ class ChaseConfig {
     }
   };
 
+  /// The slot of `slots_` holding the fact (relation, terms), or the empty
+  /// slot where it would go. Requires a non-empty table.
+  size_t SlotOf(RelationId relation, const std::vector<ChaseTermId>& terms,
+                size_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const int32_t index = slots_[i];
+      if (index < 0) return i;
+      const Fact& fact = facts_[index];
+      if (fact.relation == relation && fact.terms == terms) return i;
+    }
+  }
+  /// Doubles `slots_` (at least 16 slots) and re-inserts every fact.
+  void GrowSlots();
+
   /// Fast-path check + slow-path catch-up: returns once the positional index
   /// covers every fact. One acquire load when already indexed; otherwise
   /// takes index_mutex_, re-checks, and appends facts
@@ -159,9 +183,15 @@ class ChaseConfig {
   /// The catch-up body; must be called with index_mutex_ held.
   void CatchUpPositionalIndexLocked() const;
 
+  static inline const std::vector<int> kNoFacts;
+
   std::vector<Fact> facts_;
-  std::unordered_set<Fact, FactHash> index_;
-  std::unordered_map<RelationId, std::vector<int>> by_relation_;
+  /// Duplicate filter: an open-addressing hash set of indexes into facts_
+  /// (-1 = empty), a power of two in size and at most half full, so copying
+  /// a configuration copies it in one block.
+  std::vector<int32_t> slots_;
+  /// Indexed by relation id; grown on demand by Add.
+  std::vector<std::vector<int>> by_relation_;
   /// Positional index, built lazily: facts_[0, indexed_up_to_) are indexed.
   /// Mutable so that const probes can catch up after Adds and copies.
   /// Concurrency: readers that observe indexed_up_to_ == facts_.size() with

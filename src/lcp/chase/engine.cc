@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 
 #include "lcp/base/strings.h"
 
@@ -147,12 +148,29 @@ Result<ChaseStats> ChaseEngine::Run(const std::vector<CompiledTgd>& tgds,
   // visible before the previous round's additions; [delta_begin, round_end)
   // is the current delta. Facts added during a round become the next delta.
   size_t delta_begin = 0;
+  // Per-TGD scratch, reused across passes. `collect` reads the TGD being
+  // enumerated through `t`.
+  size_t t = 0;
+  std::vector<Trigger> triggers;
+  std::vector<ChaseTermId> assignment;
+  std::vector<FactWindow> windows;
+  const std::function<bool(const std::vector<ChaseTermId>&)> collect =
+      [&](const std::vector<ChaseTermId>& full) {
+        ++stats.triggers_enumerated;
+        // Restricted chase: skip if the head already has a witness.
+        if (HeadWitnessed(tgds[t], full, config, &match_stats)) {
+          ++stats.witness_skips;
+        } else {
+          triggers.push_back(Trigger{static_cast<int>(t), full});
+        }
+        return true;
+      };
   bool progress = true;
   while (progress) {
     progress = false;
     ++stats.rounds;
     const size_t round_end = config.size();
-    for (size_t t = 0; t < tgds.size(); ++t) {
+    for (t = 0; t < tgds.size(); ++t) {
       if (options.budget != nullptr) {
         // Cooperative cancellation point: one check per TGD pass bounds the
         // staleness of deadline detection to a single enumeration sweep.
@@ -165,18 +183,8 @@ Result<ChaseStats> ChaseEngine::Run(const std::vector<CompiledTgd>& tgds,
       const CompiledTgd& tgd = tgds[t];
       // Collect the current triggers first: firing mutates the config, which
       // would invalidate the enumeration.
-      std::vector<Trigger> triggers;
-      std::vector<ChaseTermId> assignment(tgd.vars.size(), kUnboundTerm);
-      auto collect = [&](const std::vector<ChaseTermId>& full) {
-        ++stats.triggers_enumerated;
-        // Restricted chase: skip if the head already has a witness.
-        if (HeadWitnessed(tgd, full, config, &match_stats)) {
-          ++stats.witness_skips;
-        } else {
-          triggers.push_back(Trigger{static_cast<int>(t), full});
-        }
-        return true;
-      };
+      triggers.clear();
+      assignment.assign(tgd.vars.size(), kUnboundTerm);
       if (!seminaive) {
         // Naive oracle: full re-enumeration against the current config.
         EnumerateHomomorphisms(tgd.body, config, assignment, collect,
@@ -187,7 +195,7 @@ Result<ChaseStats> ChaseEngine::Run(const std::vector<CompiledTgd>& tgds,
         // snapshot, so the pinned passes partition the new matches exactly
         // (classic semi-naïve rewriting). In the first round the delta is
         // the whole snapshot and only the first pass can produce matches.
-        std::vector<FactWindow> windows(tgd.body.size());
+        windows.resize(tgd.body.size());
         const size_t pins = delta_begin == 0 ? std::min<size_t>(
                                                    1, tgd.body.size())
                                              : tgd.body.size();

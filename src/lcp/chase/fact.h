@@ -26,9 +26,11 @@ struct Fact {
 };
 
 struct FactHash {
-  size_t operator()(const Fact& f) const {
-    size_t h = static_cast<size_t>(f.relation) * 0x9e3779b97f4a7c15ULL;
-    for (ChaseTermId t : f.terms) {
+  size_t operator()(const Fact& f) const { return Hash(f.relation, f.terms); }
+  static size_t Hash(RelationId relation,
+                     const std::vector<ChaseTermId>& terms) {
+    size_t h = static_cast<size_t>(relation) * 0x9e3779b97f4a7c15ULL;
+    for (ChaseTermId t : terms) {
       h ^= static_cast<size_t>(static_cast<uint32_t>(t)) + 0x9e3779b9 +
            (h << 6) + (h >> 2);
     }

@@ -79,23 +79,31 @@ CandidateSpan BestCandidates(const PatternAtom& atom, int atom_index,
   return span;
 }
 
-bool MatchRecursive(
-    const std::vector<PatternAtom>& atoms, std::vector<bool>& done,
-    size_t remaining, const ChaseConfig& config,
-    std::vector<ChaseTermId>& assignment,
-    const std::function<bool(const std::vector<ChaseTermId>&)>& on_match,
-    const MatchOptions& options) {
+/// State shared by every level of one enumeration: which atoms are matched
+/// and the trail of variables bound along the current path (each level
+/// unbinds back to its own mark, so no level allocates).
+struct MatchState {
+  const std::vector<PatternAtom>& atoms;
+  const ChaseConfig& config;
+  std::vector<ChaseTermId>& assignment;
+  const std::function<bool(const std::vector<ChaseTermId>&)>& on_match;
+  const MatchOptions& options;
+  std::vector<bool> done;
+  std::vector<int> trail;
+};
+
+bool MatchRecursive(MatchState& st, size_t remaining) {
   if (remaining == 0) {
-    return on_match(assignment);
+    return st.on_match(st.assignment);
   }
   // Pick the pending atom with the fewest candidates.
   int best = -1;
   CandidateSpan best_span;
   size_t best_size = std::numeric_limits<size_t>::max();
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    if (done[i]) continue;
-    CandidateSpan span = BestCandidates(atoms[i], static_cast<int>(i), config,
-                                        assignment, options);
+  for (size_t i = 0; i < st.atoms.size(); ++i) {
+    if (st.done[i]) continue;
+    CandidateSpan span = BestCandidates(st.atoms[i], static_cast<int>(i),
+                                        st.config, st.assignment, st.options);
     if (span.size() < best_size) {
       best = static_cast<int>(i);
       best_span = span;
@@ -103,36 +111,35 @@ bool MatchRecursive(
       if (best_size == 0) break;  // No match possible: prune immediately.
     }
   }
-  const PatternAtom& atom = atoms[best];
-  done[best] = true;
+  const PatternAtom& atom = st.atoms[best];
+  st.done[best] = true;
   bool keep_going = true;
-  std::vector<int> newly_bound;
+  const size_t mark = st.trail.size();
   for (const int* it = best_span.begin; it != best_span.end; ++it) {
-    const Fact& fact = config.facts()[*it];
-    if (options.stats != nullptr) ++options.stats->candidates_scanned;
+    const Fact& fact = st.config.facts()[*it];
+    if (st.options.stats != nullptr) ++st.options.stats->candidates_scanned;
     // Try to unify `fact` with `atom` under the current assignment.
-    newly_bound.clear();
     bool consistent = true;
     for (size_t s = 0; s < atom.slots.size() && consistent; ++s) {
       const auto& slot = atom.slots[s];
       ChaseTermId fact_term = fact.terms[s];
       if (!slot.is_variable) {
         consistent = (slot.term == fact_term);
-      } else if (assignment[slot.var_index] != kUnboundTerm) {
-        consistent = (assignment[slot.var_index] == fact_term);
+      } else if (st.assignment[slot.var_index] != kUnboundTerm) {
+        consistent = (st.assignment[slot.var_index] == fact_term);
       } else {
-        assignment[slot.var_index] = fact_term;
-        newly_bound.push_back(slot.var_index);
+        st.assignment[slot.var_index] = fact_term;
+        st.trail.push_back(slot.var_index);
       }
     }
-    if (consistent) {
-      keep_going = MatchRecursive(atoms, done, remaining - 1, config,
-                                  assignment, on_match, options);
+    if (consistent) keep_going = MatchRecursive(st, remaining - 1);
+    while (st.trail.size() > mark) {
+      st.assignment[st.trail.back()] = kUnboundTerm;
+      st.trail.pop_back();
     }
-    for (int v : newly_bound) assignment[v] = kUnboundTerm;
     if (!keep_going) break;
   }
-  done[best] = false;
+  st.done[best] = false;
   return keep_going;
 }
 
@@ -147,9 +154,14 @@ void EnumerateHomomorphisms(
     on_match(assignment);
     return;
   }
-  std::vector<bool> done(atoms.size(), false);
-  MatchRecursive(atoms, done, atoms.size(), config, assignment, on_match,
-                 options);
+  // An atom over an empty relation admits no match: skip the set-up.
+  for (const PatternAtom& atom : atoms) {
+    if (config.FactsOf(atom.relation).empty()) return;
+  }
+  MatchState state{atoms, config, assignment, on_match, options,
+                   std::vector<bool>(atoms.size(), false), {}};
+  state.trail.reserve(assignment.size());
+  MatchRecursive(state, atoms.size());
 }
 
 bool HasHomomorphism(const std::vector<PatternAtom>& atoms,

@@ -3,11 +3,13 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "lcp/base/check.h"
@@ -28,21 +30,24 @@ inline constexpr ChaseTermId kUnboundTerm =
 namespace internal {
 
 /// Append-only store with wait-free reads concurrent with appends. Elements
-/// live in fixed-size chunks that never move, so a published element's
-/// address is stable forever; readers bounds-check against an atomic size
-/// published with release order after the element (and its chunk pointer)
-/// are written. Appends themselves must be serialized externally (TermArena
+/// live in chunks that never move, so a published element's address is
+/// stable forever; readers bounds-check against an atomic size published
+/// with release order after the element (and its chunk pointer) are
+/// written. Appends themselves must be serialized externally (TermArena
 /// holds one mutation mutex for the whole arena).
 ///
-/// Capacity is kMaxChunks * kChunkSize = 2^24 elements — far above anything
-/// a single planning episode allocates (the proof search caps nodes at ~1e5
-/// and charges every chase firing against a budget); Append checks the
-/// ceiling.
+/// Chunk c holds kFirstChunk << c elements, so a store that stays small
+/// (most planning episodes mint a handful of nulls) allocates and
+/// initializes only a small first chunk, while kMaxChunks chunks still
+/// reach kFirstChunk * (2^kMaxChunks - 1) ~ 2^24 elements — far above
+/// anything a single planning episode allocates (the proof search caps
+/// nodes at ~1e5 and charges every chase firing against a budget); Append
+/// checks the ceiling.
 template <typename T>
 class ChunkedStore {
  public:
-  static constexpr size_t kChunkSize = 4096;
-  static constexpr size_t kMaxChunks = 4096;
+  static constexpr size_t kFirstChunk = 64;
+  static constexpr size_t kMaxChunks = 18;
 
   ChunkedStore() = default;
   ChunkedStore(const ChunkedStore&) = delete;
@@ -56,14 +61,14 @@ class ChunkedStore {
   /// Caller must hold the owning arena's mutation mutex.
   size_t Append(T value) {
     size_t index = size_.load(std::memory_order_relaxed);
-    LCP_CHECK(index < kChunkSize * kMaxChunks) << "ChunkedStore overflow";
-    size_t chunk = index / kChunkSize;
+    const auto [chunk, offset] = Locate(index);
+    LCP_CHECK(chunk < kMaxChunks) << "ChunkedStore overflow";
     T* block = chunks_[chunk].load(std::memory_order_relaxed);
     if (block == nullptr) {
-      block = new T[kChunkSize]();
+      block = new T[kFirstChunk << chunk]();
       chunks_[chunk].store(block, std::memory_order_relaxed);
     }
-    block[index % kChunkSize] = std::move(value);
+    block[offset] = std::move(value);
     // Publishes the element, and transitively the chunk pointer, to any
     // reader that observes the new size with acquire order.
     size_.store(index + 1, std::memory_order_release);
@@ -72,11 +77,18 @@ class ChunkedStore {
 
   /// Valid for index < size() as observed by this thread.
   const T& operator[](size_t index) const {
-    return chunks_[index / kChunkSize].load(std::memory_order_relaxed)
-        [index % kChunkSize];
+    const auto [chunk, offset] = Locate(index);
+    return chunks_[chunk].load(std::memory_order_relaxed)[offset];
   }
 
  private:
+  /// (chunk, offset) of `index`: chunk c starts at kFirstChunk * (2^c - 1).
+  static std::pair<size_t, size_t> Locate(size_t index) {
+    const size_t chunk =
+        static_cast<size_t>(std::bit_width(index / kFirstChunk + 1)) - 1;
+    return {chunk, index - kFirstChunk * ((size_t{1} << chunk) - 1)};
+  }
+
   std::atomic<size_t> size_{0};
   std::array<std::atomic<T*>, kMaxChunks> chunks_{};
 };

@@ -3,9 +3,6 @@
 #include <mutex>
 #include <utility>
 
-#include "lcp/chase/fact.h"
-#include "lcp/chase/term_arena.h"
-
 namespace lcp {
 namespace search_internal {
 
@@ -19,31 +16,26 @@ size_t NextPow2(int n) {
 
 }  // namespace
 
-uint64_t ConfigFingerprint(const ChaseConfig& config) {
-  // Plain sum: commutative, so insertion order does not matter. Collisions
-  // are harmless (see header) — this only picks a shard.
-  FactHash hasher;
-  uint64_t fp = 0;
-  for (const Fact& fact : config.facts()) fp += hasher(fact);
-  return fp;
-}
-
 ConcurrentDominanceStore::ConcurrentDominanceStore(int shard_count)
     : shards_(NextPow2(shard_count < 1 ? 1 : shard_count)) {}
 
 void ConcurrentDominanceStore::Insert(
-    uint64_t fingerprint, double cost, int accesses,
+    const DominanceSignature& signature, double cost, int accesses,
     std::shared_ptr<const ChaseConfig> config) {
-  Shard& shard = shards_[ShardOf(fingerprint)];
+  // Route by signature: it only spreads writers across shard mutexes, since
+  // every check visits every shard.
+  const uint64_t route =
+      (signature.bits[0] ^ signature.bits[1]) * 0x9e3779b97f4a7c15ULL;
+  Shard& shard = shards_[(route >> 32) & (shards_.size() - 1)];
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  shard.entries.push_back(
-      Entry{fingerprint, cost, accesses, std::move(config)});
+  shard.entries.push_back(Entry{signature, cost, accesses, std::move(config)});
 }
 
 bool ConcurrentDominanceStore::IsDominated(
-    const std::vector<PatternAtom>& pattern, size_t num_vars, double cost,
-    int accesses) const {
+    const DominanceSignature& signature, double cost, int accesses,
+    const std::function<const DominanceProbe&()>& make_probe) const {
   std::vector<std::shared_ptr<const ChaseConfig>> qualifying;
+  const DominanceProbe* probe = nullptr;
   for (const Shard& shard : shards_) {
     // Copy the qualifying entries out under the shared lock, then check
     // homomorphisms lock-free: a homomorphism check can take a while, and
@@ -55,12 +47,16 @@ bool ConcurrentDominanceStore::IsDominated(
         // The dominator must also be able to afford every extension the
         // child could (the access budget is a separate resource from cost).
         if (entry.accesses > accesses) continue;
+        if (!signature.SubsetOf(entry.signature)) continue;
         qualifying.push_back(entry.config);
       }
     }
+    if (qualifying.empty()) continue;
+    if (probe == nullptr) probe = &make_probe();
     for (const auto& config : qualifying) {
-      std::vector<ChaseTermId> assignment(num_vars, kUnboundTerm);
-      if (HasHomomorphism(pattern, *config, std::move(assignment))) {
+      if (HasHomomorphism(
+              probe->pattern, *config,
+              std::vector<ChaseTermId>(probe->num_vars, kUnboundTerm))) {
         return true;
       }
     }

@@ -1,13 +1,15 @@
-// The work-stealing parallel driver for Algorithm 1. The sequential driver
-// lives in proof_search.cc; both share SearchCore for node expansion. See
-// DESIGN.md §8 for the full protocol write-up.
+// The proof-search driver for Algorithm 1: a work-stealing pool that runs
+// inline on the calling thread at parallelism 1. Node expansion lives in
+// SearchCore. See DESIGN.md §8 for the full protocol write-up.
 //
 // Scheduling: each worker owns a deque of live nodes. A worker expands its
 // current node one candidate at a time; a viable (non-pruned, non-success)
 // child makes the worker push the *parent* back onto its own deque bottom
-// and descend into the child — the same order the sequential driver's
-// explicit stack produces — which leaves the parent (the larger remaining
-// subtree) exposed for thieves, the classic work-first principle.
+// and descend into the child, which leaves the parent (the larger remaining
+// subtree) exposed for thieves, the classic work-first principle. With one
+// worker this is exactly a depth-first search over an explicit stack: node
+// ids, pruning decisions, stats, plans and the exploration log are
+// deterministic.
 //
 // Shared state and why the races are benign:
 //  - Incumbent bound: best_cost_ is an atomic read with relaxed order on the
@@ -19,8 +21,8 @@
 //    dominance_store.h); it never wrongly prunes.
 //  - Node ownership: exactly one worker owns a node at a time; the deque
 //    mutex synchronizes hand-off. Configurations are immutable after
-//    BuildChild and prepared for concurrent reads before entering the
-//    dominance store.
+//    BuildChild and, with more than one worker, prepared for concurrent
+//    reads before entering the dominance store.
 //  - Termination: in_flight_ counts live nodes (in some deque or held by a
 //    worker). It is incremented before a push makes a node stealable and
 //    decremented only when a node's candidates are exhausted, so it reaches
@@ -34,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -47,13 +50,13 @@ namespace search_internal {
 
 namespace {
 
-class ParallelDriver {
+class SearchDriver {
  public:
-  ParallelDriver(const AccessibleSchema& acc, const CostFunction& cost,
-                 const ConjunctiveQuery& query, const SearchOptions& options)
+  SearchDriver(const AccessibleSchema& acc, const CostFunction& cost,
+               const ConjunctiveQuery& query, const SearchOptions& options)
       : core_(acc, cost, query, options),
         options_(options),
-        num_workers_(options.parallelism),
+        num_workers_(options.parallelism > 1 ? options.parallelism : 1),
         deques_(num_workers_),
         workers_(num_workers_),
         // ~4 shards per worker keeps insert contention low without making
@@ -75,15 +78,11 @@ class ParallelDriver {
     }
     auto root_sp = std::make_shared<SearchNode>(std::move(*root));
     nodes_created_.store(1, std::memory_order_relaxed);
-    next_node_id_.store(1, std::memory_order_relaxed);
     // The root counts against the node budget like any other node.
     if (budget != nullptr) (void)budget->ChargeNode();
+    Log(*root_sp, "initial");
     if (options_.prune_by_dominance) {
-      root_sp->config.PrepareForConcurrentReads();
-      store_.Insert(ConfigFingerprint(root_sp->config), root_sp->cost,
-                    root_sp->accesses,
-                    std::shared_ptr<const ChaseConfig>(root_sp,
-                                                       &root_sp->config));
+      Publish(root_sp, core_.SignatureOf(root_sp->config));
     }
     in_flight_.store(1, std::memory_order_relaxed);
     deques_[0].PushBottom(std::move(root_sp));
@@ -116,6 +115,7 @@ class ParallelDriver {
   void WorkerLoop(int wid) {
     ChaseEngine engine(&core_.schema(), &core_.arena());
     SearchStats& stats = workers_[wid].stats;
+    SearchCore::ProbeScratch probe_scratch;
     Budget* budget = options_.budget;
     std::shared_ptr<SearchNode> cur;
     while (true) {
@@ -161,9 +161,9 @@ class ParallelDriver {
         RequestStop();
         break;
       }
-      int child_id = next_node_id_.fetch_add(1, std::memory_order_relaxed);
-      Result<SearchNode> built =
-          core_.BuildChild(*cur, cand_index, child_id, engine, stats);
+      Result<SearchNode> built = core_.BuildChild(
+          *cur, cand_index, nodes_created_.load(std::memory_order_relaxed),
+          engine, stats);
       if (!built.ok()) {
         // A chase closure interrupted by the shared budget stops the search
         // gracefully with whatever was found; genuine chase errors
@@ -176,17 +176,23 @@ class ParallelDriver {
         RequestStop();
         break;
       }
-      SearchNode child = std::move(*built);
+      SearchNode& child = *built;
       if (options_.prune_by_cost &&
           child.cost >= best_cost_.load(std::memory_order_relaxed)) {
         ++stats.pruned_cost;
+        Log(child, "pruned(cost)");
         continue;
       }
+      DominanceSignature signature;
       if (options_.prune_by_dominance) {
-        SearchCore::DominanceProbe probe = core_.MakeDominanceProbe(child);
-        if (store_.IsDominated(probe.pattern, probe.num_vars, child.cost,
-                               child.accesses)) {
+        signature = core_.SignatureOf(child.config);
+        if (store_.IsDominated(
+                signature, child.cost, child.accesses,
+                [&]() -> const DominanceProbe& {
+                  return core_.MakeDominanceProbe(child.config, probe_scratch);
+                })) {
           ++stats.pruned_dominance;
+          Log(child, "pruned(dominated)");
           continue;
         }
       }
@@ -196,22 +202,19 @@ class ParallelDriver {
       // Charge the node; every worker's Check() notices an exceeded cap
       // before its next expansion.
       if (budget != nullptr) (void)budget->ChargeNode();
-      if (options_.prune_by_dominance) {
-        // Successful nodes are dominators too (as in the sequential
-        // driver's node store).
-        sp->config.PrepareForConcurrentReads();
-        store_.Insert(ConfigFingerprint(sp->config), sp->cost, sp->accesses,
-                      std::shared_ptr<const ChaseConfig>(sp, &sp->config));
-      }
+      // Successful nodes are dominators too.
+      if (options_.prune_by_dominance) Publish(sp, signature);
       if (sp->success) {
         ++stats.successes;
         PublishPlan(core_.MakeFoundPlan(*sp));
+        Log(*sp, StrCat("SUCCESS cost=", sp->cost));
         if (options_.stop_at_first_plan) {
           RequestStop();
           break;
         }
         continue;  // Keep expanding the current node's other candidates.
       }
+      Log(*sp, StrCat("cost=", sp->cost));
       // Descend into the child; expose the parent (the larger remaining
       // subtree) for stealing. The increment must precede the push so no
       // idle worker can observe empty deques with in_flight_ == 0 while the
@@ -235,6 +238,21 @@ class ParallelDriver {
       }
     }
     return nullptr;
+  }
+
+  /// Makes `node` a dominator candidate.
+  void Publish(const std::shared_ptr<SearchNode>& node,
+               const DominanceSignature& signature) {
+    // A lone worker is the only reader: its lazy index catch-up is safe.
+    if (num_workers_ > 1) node->config.PrepareForConcurrentReads();
+    store_.Insert(signature, node->cost, node->accesses,
+                  std::shared_ptr<const ChaseConfig>(node, &node->config));
+  }
+
+  /// Appends `node`'s exploration-log line (parallelism 1 only).
+  void Log(const SearchNode& node, const std::string& status) {
+    if (!options_.collect_exploration_log) return;
+    outcome_.exploration_log.push_back(core_.LogLine(node, status));
   }
 
   /// Called when a node's candidates are exhausted: it leaves the live set.
@@ -282,10 +300,8 @@ class ParallelDriver {
   std::atomic<int> in_flight_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> done_{false};
+  /// Also the id of the next child whose build starts (SearchNode::id).
   std::atomic<int> nodes_created_{0};
-  /// Node-id allocator; pruned children leave id gaps, which is fine — ids
-  /// only need to be unique (they name plan tables).
-  std::atomic<int> next_node_id_{0};
 
   /// The incumbent bound, read lock-free on the pruning fast path. Only
   /// ever decreases; writes go through best_mutex_.
@@ -303,12 +319,11 @@ class ParallelDriver {
 
 }  // namespace
 
-Result<SearchOutcome> RunParallelSearch(const AccessibleSchema& accessible,
-                                        const CostFunction& cost,
-                                        const ConjunctiveQuery& query,
-                                        const SearchOptions& options) {
-  LCP_CHECK(options.parallelism > 1);
-  ParallelDriver driver(accessible, cost, query, options);
+Result<SearchOutcome> RunSearch(const AccessibleSchema& accessible,
+                                const CostFunction& cost,
+                                const ConjunctiveQuery& query,
+                                const SearchOptions& options) {
+  SearchDriver driver(accessible, cost, query, options);
   return driver.Run();
 }
 

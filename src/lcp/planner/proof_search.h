@@ -48,9 +48,9 @@ struct SearchOptions {
   /// Hard cap on created search nodes.
   int max_nodes = 100000;
   /// Access methods the search must not use: candidates over these methods
-  /// are dropped at enumeration time, in both the sequential and parallel
-  /// drivers, so no returned plan ever contains an excluded method. This is
-  /// the planner half of source-health failover (DESIGN.md §10): the
+  /// are dropped at enumeration time, at every parallelism, so no returned
+  /// plan ever contains an excluded method. This is the planner half of
+  /// source-health failover (DESIGN.md §10): the
   /// serving layer passes the quarantined-method mask here and proof search
   /// re-routes through live alternatives — the paper's many-sound-plans
   /// property is exactly what makes such detours exist. Unknown ids are
@@ -67,13 +67,12 @@ struct SearchOptions {
   /// order — Run returns kInvalidArgument when both are requested.
   bool collect_exploration_log = false;
   CandidateOrder candidate_order = CandidateOrder::kDerivationDepth;
-  /// Number of search workers. 1 (the default) runs the original sequential
-  /// depth-first driver — bit-for-bit the pre-parallelism behavior,
-  /// including exploration-log support and deterministic node numbering.
-  /// Values > 1 run a work-stealing parallel driver: workers expand nodes
-  /// against a shared atomic incumbent bound (prune_by_cost uses the global
-  /// cheapest plan) and a sharded concurrent dominance store. Guarantees
-  /// versus the sequential driver:
+  /// Number of search workers of the work-stealing driver: workers expand
+  /// nodes against a shared atomic incumbent bound (prune_by_cost uses the
+  /// global cheapest plan) and a sharded concurrent dominance store. 1 (the
+  /// default) runs it inline on the calling thread as a depth-first search
+  /// with deterministic node numbering, stats and plans, and with
+  /// exploration-log support. Guarantees of values > 1 versus 1:
   ///  - Run to exhaustion (exhaustion.ok()), it finds the same optimal
   ///    cost; the identity of the returned plan may differ when several
   ///    plans tie or the exploration order changes which one is found
@@ -101,9 +100,9 @@ struct SearchOptions {
   /// unlimited.
   Budget* budget = nullptr;
   /// Run the plan-IR optimizer pipeline (plan/opt/, DESIGN.md §11) over
-  /// every returned plan once the search (sequential or parallel) has
-  /// finished: common-subplan elimination, projection/selection pushdown,
-  /// dead-command elimination, and join reorder, each re-validated and
+  /// every returned plan once the search has finished: common-subplan
+  /// elimination, projection/selection pushdown, dead-command elimination,
+  /// and join reorder, each re-validated and
   /// guaranteed not to raise cost. `best->cost` is re-evaluated afterwards,
   /// so it can only drop. Off by default — proof-generated plans are often
   /// already minimal and differential harnesses may want the literal plan;

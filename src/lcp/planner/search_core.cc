@@ -1,7 +1,6 @@
 #include "lcp/planner/search_core.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "lcp/base/strings.h"
@@ -59,8 +58,7 @@ Result<SearchNode> SearchCore::InitRoot(ChaseEngine& engine,
   // ordered by derivation depth (fact insertion index) then method cost.
   // Methods on the exclusion mask (quarantined by the source-health
   // registry) never become candidates, so every plan read off a proof is
-  // guaranteed to route around them — in both drivers, which share this
-  // enumeration.
+  // guaranteed to route around them.
   std::vector<char> excluded(
       static_cast<size_t>(acc_.base().num_access_methods()), 0);
   for (AccessMethodId m : options_.excluded_methods) {
@@ -99,17 +97,27 @@ Result<SearchNode> SearchCore::InitRoot(ChaseEngine& engine,
     free_var_terms_.push_back(term);
   }
 
+  int max_arity = 0;
+  for (RelationId r = 0; r < acc_.base().num_relations(); ++r) {
+    max_arity = std::max(max_arity, acc_.base().relation(r).arity);
+  }
+  for (int i = 0; i < max_arity; ++i) {
+    position_columns_.push_back(StrCat("#p", i));
+  }
+
   // Compile the inferred-accessible copies of the constraints once.
   for (const Tgd& tgd : acc_.inferred_constraints()) {
     compiled_inferred_.push_back(CompileTgd(tgd, arena_));
   }
 
-  root.label = "root";
   return root;
 }
 
 void SearchCore::MarkAccessible(SearchNode& node, ChaseTermId term) const {
-  if (!node.accessible_terms.insert(term).second) return;
+  std::vector<ChaseTermId>& terms = node.accessible_terms;
+  auto it = std::lower_bound(terms.begin(), terms.end(), term);
+  if (it != terms.end() && *it == term) return;
+  terms.insert(it, term);
   node.config.Add(Fact(acc_.accessible_relation(), {term}));
 }
 
@@ -117,7 +125,7 @@ int SearchCore::NextCandidate(SearchNode& node) const {
   while (node.cursor < all_candidates_.size()) {
     int i = static_cast<int>(node.cursor);
     ++node.cursor;
-    if (node.removed.count(i) > 0) continue;
+    if (!node.removed.empty() && node.removed[i]) continue;
     if (CandidateFireable(node, all_candidates_[i])) return i;
   }
   return -1;
@@ -127,10 +135,13 @@ bool SearchCore::CandidateFireable(const SearchNode& node,
                                    const Candidate& cand) const {
   // Callers filter node.removed; here we check the semantic conditions.
   const Fact& fact = node.config.facts()[cand.fact_index];
-  if (node.config.Contains(AccessedFact(fact))) return false;
+  if (IsAccessed(node.config, fact)) return false;
   const AccessMethod& method = acc_.base().access_method(cand.method);
   for (int pos : method.input_positions) {
-    if (node.accessible_terms.count(fact.terms[pos]) == 0) return false;
+    if (!std::binary_search(node.accessible_terms.begin(),
+                            node.accessible_terms.end(), fact.terms[pos])) {
+      return false;
+    }
   }
   return true;
 }
@@ -203,7 +214,7 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
         break;
       }
     }
-    if (agrees && !parent.config.Contains(AccessedFact(d))) {
+    if (agrees && !IsAccessed(parent.config, d)) {
       induced.push_back(d);
     }
   }
@@ -222,21 +233,25 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
         break;
       }
     }
-    if (agrees) parent.removed.insert(i);
+    if (!agrees) continue;
+    if (parent.removed.empty()) {
+      parent.removed.assign(all_candidates_.size(), false);
+    }
+    parent.removed[i] = true;
   }
 
   SearchNode child;
   child.id = child_id;
   child.parent = parent.id;
+  child.candidate = cand_index;
   child.config = parent.config;
   child.accessible_terms = parent.accessible_terms;
-  child.commands = parent.commands;
+  // One access, one table per induced fact, one join.
+  child.commands.reserve(parent.commands.size() + induced.size() + 2);
+  child.commands.assign(parent.commands.begin(), parent.commands.end());
   child.table = parent.table;
   child.attrs = parent.attrs;
   child.accesses = parent.accesses + 1;
-  child.label =
-      StrCat("expose ", FactToString(exposed, acc_.schema(), arena_), " via ",
-             method.name);
 
   // --- configuration update ----------------------------------------------
   for (const Fact& d : induced) {
@@ -259,7 +274,7 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
   access.output_table = raw;
   const Relation& rel = acc_.base().relation(exposed.relation);
   for (int i = 0; i < rel.arity; ++i) {
-    access.output_columns.emplace_back(StrCat("#p", i), i);
+    access.output_columns.emplace_back(PositionColumn(i), i);
   }
   std::vector<std::string> input_attrs;
   for (int pos : method.input_positions) {
@@ -289,23 +304,22 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
     const Fact& d = induced[fi];
     RaExprPtr expr = RaExpr::TempScan(raw);
     std::vector<RaExpr::Condition> conds;
-    std::unordered_map<ChaseTermId, int> first_pos;
     std::vector<std::pair<std::string, std::string>> renames;
     std::vector<std::string> proj;
     for (int i = 0; i < rel.arity; ++i) {
       ChaseTermId t = d.terms[i];
-      std::string col = StrCat("#p", i);
+      const std::string& col = PositionColumn(i);
       if (TermArena::IsConstant(t)) {
         conds.push_back(
             RaExpr::Condition::AttrEqConst(col, arena_.ConstantOf(t)));
         continue;
       }
-      auto it = first_pos.find(t);
-      if (it != first_pos.end()) {
+      int first = 0;
+      while (d.terms[first] != t) ++first;
+      if (first < i) {
         conds.push_back(
-            RaExpr::Condition::AttrEqAttr(col, StrCat("#p", it->second)));
+            RaExpr::Condition::AttrEqAttr(col, PositionColumn(first)));
       } else {
-        first_pos.emplace(t, i);
         std::string attr = arena_.DisplayName(t);
         renames.emplace_back(col, attr);
         proj.push_back(attr);
@@ -335,10 +349,12 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
   child.commands.push_back(QueryCommand{child.table, std::move(joined)});
 
   // --- cost ----------------------------------------------------------------
+  // The plan borrows the command list for the call.
   Plan partial;
-  partial.commands = child.commands;
+  partial.commands = std::move(child.commands);
   partial.output_table = child.table;
   child.cost = cost_.Cost(partial);
+  child.commands = std::move(partial.commands);
   return child;
 }
 
@@ -346,45 +362,82 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
 #pragma GCC diagnostic pop
 #endif
 
-SearchCore::DominanceProbe SearchCore::MakeDominanceProbe(
-    const SearchNode& node) const {
-  // Build the pattern: the node's base, InferredAcc, and accessible facts,
-  // with nulls as variables except the query's free-variable constants,
-  // which any dominating configuration must also realize identically.
-  std::unordered_set<ChaseTermId> fixed(free_var_terms_.begin(),
-                                        free_var_terms_.end());
-  std::unordered_map<ChaseTermId, int> var_of;
-  DominanceProbe probe;
-  for (const Fact& fact : node.config.facts()) {
+DominanceSignature SearchCore::SignatureOf(const ChaseConfig& config) const {
+  DominanceSignature signature;
+  for (const Fact& fact : config.facts()) {
     AccessibleRelationKind kind = acc_.KindOf(fact.relation);
-    if (kind == AccessibleRelationKind::kAccessed) continue;
-    PatternAtom atom;
-    atom.relation = fact.relation;
-    for (ChaseTermId t : fact.terms) {
-      PatternAtom::Slot slot;
-      if (TermArena::IsConstant(t) || fixed.count(t) > 0) {
-        slot.is_variable = false;
-        slot.term = t;
-      } else {
-        slot.is_variable = true;
-        auto [it, inserted] =
-            var_of.emplace(t, static_cast<int>(var_of.size()));
-        slot.var_index = it->second;
-      }
-      atom.slots.push_back(slot);
+    if (kind == AccessibleRelationKind::kBase ||
+        kind == AccessibleRelationKind::kAccessed) {
+      continue;
     }
-    probe.pattern.push_back(std::move(atom));
+    const uint64_t relation = static_cast<uint32_t>(fact.relation);
+    signature.Add(relation);
+    for (size_t i = 0; i < fact.terms.size(); ++i) {
+      if (!IsFixedTerm(fact.terms[i])) continue;
+      signature.Add((relation << 40) ^ (uint64_t{i + 1} << 32) ^
+                    static_cast<uint32_t>(fact.terms[i]));
+    }
   }
-  probe.num_vars = var_of.size();
+  return signature;
+}
+
+const DominanceProbe& SearchCore::MakeDominanceProbe(
+    const ChaseConfig& config, ProbeScratch& scratch) const {
+  // Build the pattern: the base, InferredAcc, and accessible facts, with
+  // nulls as variables except the query's free-variable constants, which
+  // any dominating configuration must also realize identically.
+  std::vector<int>& var_of = scratch.var_of;
+  DominanceProbe& probe = scratch.probe;
+  probe.num_vars = 0;
+  size_t atoms = 0;
+  for (const Fact& fact : config.facts()) {
+    if (acc_.KindOf(fact.relation) == AccessibleRelationKind::kAccessed) {
+      continue;
+    }
+    if (atoms == probe.pattern.size()) probe.pattern.emplace_back();
+    PatternAtom& atom = probe.pattern[atoms++];
+    atom.relation = fact.relation;
+    atom.slots.resize(fact.terms.size());
+    for (size_t i = 0; i < fact.terms.size(); ++i) {
+      const ChaseTermId t = fact.terms[i];
+      PatternAtom::Slot& slot = atom.slots[i];
+      if (IsFixedTerm(t)) {
+        slot = PatternAtom::Slot{false, -1, t};
+        continue;
+      }
+      if (static_cast<size_t>(t) >= var_of.size()) var_of.resize(t + 1, -1);
+      if (var_of[t] < 0) var_of[t] = static_cast<int>(probe.num_vars++);
+      slot = PatternAtom::Slot{true, var_of[t], kUnboundTerm};
+    }
+  }
+  probe.pattern.resize(atoms);
+  // Hand the table back clean.
+  for (const Fact& fact : config.facts()) {
+    for (ChaseTermId t : fact.terms) {
+      if (TermArena::IsNull(t) && static_cast<size_t>(t) < var_of.size()) {
+        var_of[t] = -1;
+      }
+    }
+  }
   return probe;
 }
 
 std::string SearchCore::LogLine(const SearchNode& node,
                                 const std::string& status) const {
+  std::string label = "root";
+  if (node.candidate >= 0) {
+    // Base facts keep their root indexes in every descendant.
+    const Candidate& cand = all_candidates_[node.candidate];
+    label = StrCat(
+        "expose ",
+        FactToString(node.config.facts()[cand.fact_index], acc_.schema(),
+                     arena_),
+        " via ", acc_.base().access_method(cand.method).name);
+  }
   return StrCat("n", node.id,
                 (node.parent >= 0 ? StrCat(" <- n", node.parent)
                                   : std::string("")),
-                " [", node.label, "] facts=", node.config.size(),
+                " [", label, "] facts=", node.config.size(),
                 " accesses=", node.accesses, " ", status);
 }
 

@@ -1,13 +1,12 @@
 #ifndef LCP_PLANNER_SEARCH_CORE_H_
 #define LCP_PLANNER_SEARCH_CORE_H_
 
-// Internal header: the node-expansion core of Algorithm 1, shared by the
-// sequential depth-first driver (proof_search.cc) and the work-stealing
-// parallel driver (parallel_search.cc). Not part of the public API —
-// include lcp/planner/proof_search.h instead.
+// Internal header: the node-expansion core of Algorithm 1 and the entry
+// point of its work-stealing driver (parallel_search.cc). Not part of the
+// public API — include lcp/planner/proof_search.h instead.
 
+#include <algorithm>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "lcp/accessible/accessible_schema.h"
@@ -15,6 +14,7 @@
 #include "lcp/chase/engine.h"
 #include "lcp/chase/matcher.h"
 #include "lcp/plan/cost.h"
+#include "lcp/planner/dominance_store.h"
 #include "lcp/planner/proof_search.h"
 
 namespace lcp {
@@ -38,13 +38,20 @@ struct Candidate {
 /// expansion state. The configuration is immutable once BuildChild
 /// returns, so the dominance store and thieves may read it concurrently.
 struct SearchNode {
+  /// The number of nodes created before this node's build started. Ids
+  /// strictly increase along every root-to-leaf path, so the table names
+  /// derived from them are unique within every plan.
   int id = 0;
   int parent = -1;
+  /// Index of the candidate this node exposed; -1 at the root.
+  int candidate = -1;
   ChaseConfig config;
-  std::unordered_set<ChaseTermId> accessible_terms;
-  /// Candidate indexes removed at this node (Algorithm 1, line 10). Not
+  /// Terms with an accessible(t) fact, ascending.
+  std::vector<ChaseTermId> accessible_terms;
+  /// Candidate indexes removed at this node (Algorithm 1, line 10), as a
+  /// bitmap over all candidates (empty until the first removal). Not
   /// inherited: children recompute candidacy from their own configuration.
-  std::unordered_set<int> removed;
+  std::vector<bool> removed;
   size_t cursor = 0;  ///< Next candidate index to consider.
   std::vector<Command> commands;
   std::string table;  ///< Running temporary table; empty before any access.
@@ -52,16 +59,13 @@ struct SearchNode {
   double cost = 0;
   int accesses = 0;
   bool success = false;
-  bool pruned = false;
-  std::string label;  ///< "expose F via mt" (for exploration logs).
 };
 
-/// The driver-independent parts of Algorithm 1: root construction, candidate
-/// iteration, node expansion (configuration update, inferred-accessible
-/// closure, §4 proof-to-plan translation, cost), success detection, and the
-/// dominance-probe pattern. Pruning *decisions* and node bookkeeping stay in
-/// the drivers, which differ in how they share the incumbent bound and the
-/// dominance set.
+/// The scheduling-independent parts of Algorithm 1: root construction,
+/// candidate iteration, node expansion (configuration update,
+/// inferred-accessible closure, §4 proof-to-plan translation, cost), success
+/// detection, and the dominance signature and probe. Pruning *decisions* and
+/// node bookkeeping stay in the driver.
 ///
 /// Thread model: construction and InitRoot are single-threaded; afterwards
 /// every method is const and safe from concurrent workers (the arena it
@@ -103,16 +107,27 @@ class SearchCore {
                                 int child_id, ChaseEngine& engine,
                                 SearchStats& stats) const;
 
-  /// The dominance probe of `node` (§5, "Optimizations"): its base,
+  /// The dominance signature of `config`: the relations of its InferredAcc
+  /// and accessible facts, and the (relation, position, term) triples of
+  /// those facts whose term is fixed (a constant or a free-variable null).
+  /// Base facts are skipped: every node holds the root's base facts.
+  DominanceSignature SignatureOf(const ChaseConfig& config) const;
+
+  /// A worker's reusable buffers for MakeDominanceProbe.
+  struct ProbeScratch {
+    /// Flat null -> pattern variable table; all -1 between calls.
+    std::vector<int> var_of;
+    DominanceProbe probe;
+  };
+
+  /// The dominance probe of `config` (§5, "Optimizations"): its base,
   /// InferredAcc, and accessible facts as a pattern with nulls as variables,
   /// except the query's free-variable constants, which stay fixed. A
   /// configuration that admits a homomorphism of this pattern (at no higher
-  /// cost and no higher access count) dominates `node`.
-  struct DominanceProbe {
-    std::vector<PatternAtom> pattern;
-    size_t num_vars = 0;
-  };
-  DominanceProbe MakeDominanceProbe(const SearchNode& node) const;
+  /// cost and no higher access count) dominates the node. Built into (and
+  /// returned from) `scratch`, reusing its allocations.
+  const DominanceProbe& MakeDominanceProbe(const ChaseConfig& config,
+                                           ProbeScratch& scratch) const;
 
   /// Figure-1-style exploration-log line for `node`.
   std::string LogLine(const SearchNode& node, const std::string& status) const;
@@ -123,8 +138,21 @@ class SearchCore {
 
  private:
   void MarkAccessible(SearchNode& node, ChaseTermId term) const;
+  bool IsFixedTerm(ChaseTermId term) const {
+    return TermArena::IsConstant(term) ||
+           std::find(free_var_terms_.begin(), free_var_terms_.end(), term) !=
+               free_var_terms_.end();
+  }
   Fact AccessedFact(const Fact& base_fact) const {
     return Fact(acc_.AccessedOf(base_fact.relation), base_fact.terms);
+  }
+  bool IsAccessed(const ChaseConfig& config, const Fact& base_fact) const {
+    return config.Contains(acc_.AccessedOf(base_fact.relation),
+                           base_fact.terms);
+  }
+  /// "#p{i}": the raw access table's column for position i.
+  const std::string& PositionColumn(int i) const {
+    return position_columns_[i];
   }
 
   const AccessibleSchema& acc_;
@@ -136,6 +164,7 @@ class SearchCore {
   ChaseOptions closure_chase_;
 
   TermArena arena_;
+  std::vector<std::string> position_columns_;
   std::vector<CompiledTgd> compiled_inferred_;
   std::vector<Candidate> all_candidates_;
   /// InferredAccQ compiled for success checks; free variables pre-bound to
@@ -146,13 +175,13 @@ class SearchCore {
   std::vector<ChaseTermId> free_var_terms_;
 };
 
-/// The work-stealing parallel driver (parallel_search.cc). Requires
-/// options.parallelism > 1 and collect_exploration_log == false (the public
-/// entry point enforces both).
-Result<SearchOutcome> RunParallelSearch(const AccessibleSchema& accessible,
-                                        const CostFunction& cost,
-                                        const ConjunctiveQuery& query,
-                                        const SearchOptions& options);
+/// Algorithm 1 on the work-stealing driver (parallel_search.cc), inline on
+/// the calling thread at parallelism 1. collect_exploration_log requires
+/// parallelism 1 (the public entry point enforces it).
+Result<SearchOutcome> RunSearch(const AccessibleSchema& accessible,
+                                const CostFunction& cost,
+                                const ConjunctiveQuery& query,
+                                const SearchOptions& options);
 
 }  // namespace search_internal
 }  // namespace lcp

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <string_view>
+
 #include "lcp/base/result.h"
 #include "lcp/base/status.h"
 #include "lcp/base/strings.h"
+#include "lcp/logic/value.h"
 
 namespace lcp {
 namespace {
@@ -92,9 +98,46 @@ TEST(ResultTest, AssignOrReturnPropagates) {
   EXPECT_FALSE(Quarter(7).ok());
 }
 
+/// What StrCat promises: the concatenation of `os << arg` for each arg.
+template <typename... Args>
+std::string Streamed(const Args&... args) {
+  std::ostringstream os;
+  (os << ... << args);
+  return os.str();
+}
+
+enum UnscopedColor { kRed, kGreen = 7 };
+
 TEST(StringsTest, StrCat) {
   EXPECT_EQ(StrCat("a", 1, "b", 2.5), "a1b2.5");
   EXPECT_EQ(StrCat(), "");
+
+  const int64_t int64_min = INT64_MIN;
+  const size_t size_max = SIZE_MAX;
+  const std::string_view view = "view";
+  const std::string text = "text";
+  const char* c_string = "c-string";
+  const Value int_value = Value::Int(-42);
+  const Value str_value = Value::Str("smith");
+  EXPECT_EQ(StrCat(int64_min), Streamed(int64_min));
+  EXPECT_EQ(StrCat(size_max), Streamed(size_max));
+  EXPECT_EQ(StrCat(-1, -987654321, 0, -0), Streamed(-1, -987654321, 0, -0));
+  EXPECT_EQ(StrCat(short{-7}, 7u, 8L, 9ULL), Streamed(short{-7}, 7u, 8L, 9ULL));
+  EXPECT_EQ(StrCat(0.1 + 0.2), Streamed(0.1 + 0.2));
+  EXPECT_EQ(StrCat(1e21), Streamed(1e21));
+  EXPECT_EQ(StrCat(1e-7), Streamed(1e-7));
+  EXPECT_EQ(StrCat(2.5), Streamed(2.5));
+  EXPECT_EQ(StrCat(2.5f, -0.0), Streamed(2.5f, -0.0));
+  EXPECT_EQ(StrCat(true, false), Streamed(true, false));
+  EXPECT_EQ(StrCat('x', static_cast<signed char>('y'),
+                   static_cast<unsigned char>('z')),
+            Streamed('x', static_cast<signed char>('y'),
+                     static_cast<unsigned char>('z')));
+  EXPECT_EQ(StrCat(view, text, c_string), Streamed(view, text, c_string));
+  EXPECT_EQ(StrCat(int_value, " ", str_value),
+            Streamed(int_value, " ", str_value));
+  EXPECT_EQ(StrCat(kRed, kGreen), Streamed(kRed, kGreen));
+  EXPECT_EQ(StrCat("t", 12, "_f", size_t{3}), "t12_f3");
 }
 
 TEST(StringsTest, StrJoin) {
@@ -102,6 +145,10 @@ TEST(StringsTest, StrJoin) {
   EXPECT_EQ(StrJoin(parts, ", "), "x, y, z");
   EXPECT_EQ(StrJoin(std::vector<int>{1, 2}, "-"), "1-2");
   EXPECT_EQ(StrJoin(std::vector<int>{}, "-"), "");
+  EXPECT_EQ(StrJoin(std::vector<double>{0.5, 1e21}, ","),
+            Streamed(0.5, ",", 1e21));
+  EXPECT_EQ(StrJoin(std::vector<Value>{Value::Int(1), Value::Str("a")}, ";"),
+            Streamed(Value::Int(1), ";", Value::Str("a")));
 }
 
 TEST(StringsTest, StrSplit) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "lcp/chase/matcher.h"
 #include "lcp/schema/parser.h"
 
@@ -29,6 +32,27 @@ TEST(TermArenaTest, NullsHaveUniqueDisplayNamesAndDepth) {
   EXPECT_EQ(arena.DepthOf(a), 0);
   EXPECT_EQ(arena.DepthOf(b), 3);
   EXPECT_EQ(arena.num_nulls(), 2u);
+}
+
+TEST(TermArenaTest, TermsReadBackAcrossChunkBoundaries) {
+  // Chunks grow geometrically (64, 128, 256, ... elements); 5000 terms
+  // cross six chunk boundaries in both stores.
+  TermArena arena;
+  constexpr int kTerms = 5000;
+  std::vector<ChaseTermId> nulls;
+  std::vector<ChaseTermId> constants;
+  for (int i = 0; i < kTerms; ++i) {
+    nulls.push_back(arena.NewNull("x", i % 7));
+    constants.push_back(arena.InternConstant(Value::Int(i)));
+  }
+  EXPECT_EQ(arena.num_nulls(), static_cast<size_t>(kTerms));
+  for (int i = 0; i < kTerms; ++i) {
+    EXPECT_EQ(nulls[i], i);
+    EXPECT_EQ(arena.DisplayName(nulls[i]), "x_" + std::to_string(i));
+    EXPECT_EQ(arena.DepthOf(nulls[i]), i % 7);
+    EXPECT_EQ(arena.ConstantOf(constants[i]), Value::Int(i));
+    EXPECT_EQ(arena.InternConstant(Value::Int(i)), constants[i]);
+  }
 }
 
 TEST(ChaseConfigTest, AddContainsAndIndex) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "lcp/base/strings.h"
 #include "lcp/logic/atom.h"
 #include "lcp/logic/conjunctive_query.h"
 #include "lcp/logic/containment.h"
@@ -160,8 +161,8 @@ TEST(ContainmentTest, PathQueries) {
   auto path = [](int n) {
     std::vector<Atom> atoms;
     for (int i = 0; i < n; ++i) {
-      atoms.push_back(Atom(0, {Term::Var("y" + std::to_string(i)),
-                               Term::Var("y" + std::to_string(i + 1))}));
+      atoms.push_back(
+          Atom(0, {Term::Var(StrCat("y", i)), Term::Var(StrCat("y", i + 1))}));
     }
     return Q({"y0"}, std::move(atoms));
   };

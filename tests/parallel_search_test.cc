@@ -1,12 +1,11 @@
-// Parallel proof search: differential equivalence against the sequential
-// driver, lifecycle/budget invariants, and the knobs' documented semantics.
+// Parallel proof search: differential equivalence against one worker,
+// lifecycle/budget invariants, and the knobs' documented semantics.
 //
 // The load-bearing test is the randomized differential suite: for seeded
-// scenarios, the sequential driver and the 2- and 4-worker parallel drivers,
-// all run to exhaustion, must report the same optimal plan cost (plan
-// identity may differ — ties and exploration order are not canonical under
-// work stealing). LCP_PARALLEL_STRESS_ITERS scales the seed count (CI
-// stress/TSan jobs).
+// scenarios, the driver at 1, 2 and 4 workers, all run to exhaustion, must
+// report the same optimal plan cost (plan identity may differ — ties and
+// exploration order are not canonical under work stealing).
+// LCP_PARALLEL_STRESS_ITERS scales the seed count (CI stress/TSan jobs).
 
 #include <gtest/gtest.h>
 

@@ -1,16 +1,22 @@
 // Detailed proof-search behaviours: the §4 translation's deferred cases
 // (schema constants as access inputs, repeated variables, several facts
-// induced by one access), the Theorem 5 interpolation invariants, and the
-// search limits (depth budget, node cap, first-plan mode).
+// induced by one access), the Theorem 5 interpolation invariants, the
+// search limits (depth budget, node cap, first-plan mode), and the
+// signature filter of the dominance store.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "lcp/accessible/accessible_schema.h"
 #include "lcp/data/generator.h"
 #include "lcp/data/query_eval.h"
+#include "lcp/planner/dominance_store.h"
 #include "lcp/planner/proof_search.h"
+#include "lcp/planner/search_core.h"
 #include "lcp/runtime/executor.h"
 #include "lcp/schema/parser.h"
 #include "lcp/workload/scenarios.h"
@@ -306,6 +312,105 @@ TEST(SearchDetailTest, CandidateOrderDoesNotChangeTheOptimum) {
     }
     EXPECT_DOUBLE_EQ(costs[0], costs[1]) << scenario->name;
   }
+}
+
+TEST(DominanceStoreTest, SignatureFilterMatchesBruteForceScan) {
+  using search_internal::ConcurrentDominanceStore;
+  using search_internal::DominanceSignature;
+  using search_internal::SearchCore;
+  // Random configurations over the telephone schema's accessible copies:
+  // each one extends a random earlier one, so many pairs are dominated
+  // (sub-configurations) and many are not.
+  Scenario scenario = MakeTelephoneScenario().value();
+  auto accessible = AccessibleSchema::Build(*scenario.schema,
+                                            AccessibleVariant::kStandard);
+  ASSERT_TRUE(accessible.ok());
+  SimpleCostFunction cost(scenario.schema.get());
+  SearchOptions options;
+  SearchCore core(*accessible, cost, scenario.query, options);
+  ChaseEngine engine(&core.schema(), &core.arena());
+  SearchStats stats;
+  auto root = core.InitRoot(engine, stats);
+  ASSERT_TRUE(root.ok()) << root.status();
+
+  std::vector<ChaseTermId> terms;
+  for (const Fact& fact : root->config.facts()) {
+    terms.insert(terms.end(), fact.terms.begin(), fact.terms.end());
+  }
+  for (int i = 0; i < 4; ++i) terms.push_back(core.arena().NewNull("n", 1));
+  terms.push_back(core.arena().InternConstant(Value::Int(7)));
+  std::vector<RelationId> relations = {accessible->accessible_relation()};
+  for (RelationId r = 0; r < scenario.schema->num_relations(); ++r) {
+    relations.push_back(accessible->InferredOf(r));
+    relations.push_back(accessible->AccessedOf(r));
+  }
+
+  struct Node {
+    std::shared_ptr<ChaseConfig> config;
+    DominanceSignature signature;
+    double cost;
+    int accesses;
+  };
+  constexpr int kNodes = 160;
+  std::mt19937 rng(20261017);
+  std::vector<Node> nodes;
+  nodes.reserve(kNodes);  // `stored` points into it.
+  std::vector<const Node*> stored;
+  ConcurrentDominanceStore store(4);
+  SearchCore::ProbeScratch scratch;
+  int dominated = 0;
+  int filtered_out = 0;
+  for (int k = 0; k < kNodes; ++k) {
+    auto config = std::make_shared<ChaseConfig>(
+        nodes.empty() ? root->config : *nodes[rng() % nodes.size()].config);
+    for (int added = 1 + static_cast<int>(rng() % 3); added > 0; --added) {
+      RelationId r = relations[rng() % relations.size()];
+      std::vector<ChaseTermId> args(
+          accessible->schema().relation(r).arity);
+      for (ChaseTermId& t : args) t = terms[rng() % terms.size()];
+      config->Add(Fact(r, std::move(args)));
+    }
+    nodes.push_back(Node{config, core.SignatureOf(*config),
+                         static_cast<double>(1 + rng() % 3),
+                         1 + static_cast<int>(rng() % 3)});
+    const Node& node = nodes.back();
+
+    // Brute force: every stored entry the cost and access filters admit.
+    const search_internal::DominanceProbe& probe =
+        core.MakeDominanceProbe(*node.config, scratch);
+    bool expected = false;
+    for (const Node* entry : stored) {
+      if (entry->cost > node.cost || entry->accesses > node.accesses) continue;
+      const bool hom = HasHomomorphism(
+          probe.pattern, *entry->config,
+          std::vector<ChaseTermId>(probe.num_vars, kUnboundTerm));
+      // The filter's premise: a dominator holds every probe feature.
+      if (hom) {
+        EXPECT_TRUE(node.signature.SubsetOf(entry->signature)) << k;
+      }
+      if (!node.signature.SubsetOf(entry->signature)) ++filtered_out;
+      expected = expected || hom;
+    }
+    int probes_built = 0;
+    const bool got = store.IsDominated(
+        node.signature, node.cost, node.accesses,
+        [&]() -> const search_internal::DominanceProbe& {
+          ++probes_built;
+          return core.MakeDominanceProbe(*node.config, scratch);
+        });
+    EXPECT_EQ(got, expected) << "config " << k;
+    EXPECT_LE(probes_built, 1);
+    if (got) ++dominated;
+    if (rng() % 2 == 0) {
+      store.Insert(node.signature, node.cost, node.accesses, node.config);
+      stored.push_back(&node);
+    }
+  }
+  EXPECT_EQ(store.size(), stored.size());
+  // Both outcomes occur, and the signature filter skips real work.
+  EXPECT_GT(dominated, 0);
+  EXPECT_LT(dominated, kNodes);
+  EXPECT_GT(filtered_out, 0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lcp/accessible/accessible_schema.h"
@@ -553,7 +555,13 @@ TEST(SnapshotFileTest, IntervalSnapshotsFireOnTheVirtualClock) {
   clock.Advance(2'000'000);
   request.query = fx.queries[1];
   ASSERT_TRUE(service.Call(request).status.ok());
+  // The worker checks for a due snapshot only after it has resolved the
+  // request, so Call() can return before the write: wait for it, bounded.
   ServiceStats stats = service.SnapshotStats();
+  for (int i = 0; i < 10'000 && stats.snapshots_written == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = service.SnapshotStats();
+  }
   EXPECT_EQ(stats.snapshots_written, 1u)
       << "completion past the due time writes exactly one snapshot";
   EXPECT_GE(stats.snapshot_entries_persisted, 1u);
