@@ -8,21 +8,15 @@
 //   BM_ExecuteVectorized — columnar ColumnBatch evaluation with batched
 //                          access dispatch (ExecutionEngine::kVectorized,
 //                          the default engine).
-//   BM_ExecuteMorsel     — the vectorized engine with morsel-driven
-//                          parallelism (DESIGN.md §13), sweeping workers
-//                          x instance size at a fixed morsel size.
 //
-// bench/run_benches.sh pairs the first two series and reports the speedup
-// into BENCH_runtime_exec.json; the acceptance bar for the vectorized
-// engine is >= 5x on the larger sizes. The morsel rows carry `workers` and
-// `host_cores` counters — a speedup > 1 is only expected when host_cores
-// exceeds 1 (on a 1-core runner the curve measures scheduling overhead).
+// bench/run_benches.sh pairs the two series and reports the speedup into
+// BENCH_runtime_exec.json; the acceptance bar for the vectorized engine is
+// >= 5x on the larger sizes.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <random>
-#include <thread>
 
 #include "lcp/runtime/executor.h"
 
@@ -143,50 +137,6 @@ BENCHMARK(BM_ExecuteVectorized)
     ->Arg(1024)
     ->Arg(4096)
     ->ArgName("n")
-    ->Unit(benchmark::kMillisecond);
-
-/// Morsel-driven parallel execution of the same join-heavy plan. A fixed
-/// morsel size keeps the morsel count proportional to n, so the worker
-/// sweep isolates parallel scheduling from morsel sizing.
-void BM_ExecuteMorsel(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int workers = static_cast<int>(state.range(1));
-  Workload w(n);
-  Plan plan = MakeJoinHeavyPlan();
-  SimulatedSource source(&w.schema, w.instance.get());
-  ExecutionOptions options;
-  options.engine = ExecutionEngine::kVectorized;
-  options.exec_parallelism = workers;
-  options.morsel_rows = 2048;
-  size_t rows = 0;
-  ExecStats exec;
-  for (auto _ : state) {
-    auto result = ExecutePlan(plan, source, options);
-    benchmark::DoNotOptimize(result);
-    if (!result.ok()) {
-      state.SkipWithError("execution failed");
-      return;
-    }
-    rows = result->output.size();
-    exec = result->exec;
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-  state.counters["workers"] = static_cast<double>(workers);
-  state.counters["host_cores"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-  state.counters["morsels"] = static_cast<double>(exec.morsels);
-  state.counters["build_partitions"] =
-      static_cast<double>(exec.parallel_build_partitions);
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ExecuteMorsel)
-    ->ArgNames({"n", "workers"})
-    ->Args({4096, 1})
-    ->Args({4096, 2})
-    ->Args({4096, 4})
-    ->Args({16384, 1})
-    ->Args({16384, 2})
-    ->Args({16384, 4})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

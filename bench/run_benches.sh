@@ -48,10 +48,7 @@
 # plan: BM_ExecuteRowOracle (tuple-at-a-time) vs BM_ExecuteVectorized
 # (columnar batches) at growing instance sizes. Both produce bit-identical
 # results; the summary prints the vectorized speedup per size (target:
-# >= 5x on the larger sizes). BM_ExecuteMorsel sweeps the morsel-driven
-# parallel engine (workers x size, DESIGN.md §13); its summary prints the
-# worker-scaling curve next to `host_cores` — on a 1-core runner the curve
-# measures scheduling overhead, not speedup.
+# >= 5x on the larger sizes).
 #
 # BENCH_parallel.json covers the work-stealing parallel proof search
 # (BM_ParallelSearch, workers 1/2/4/8 on the hard chain workload). Every row
@@ -300,15 +297,14 @@ fi
 echo "wrote ${RUNTIME_EXEC_OUT_JSON}"
 
 # Vectorized-vs-row speedup on the join-heavy execution plan, per instance
-# size, plus the morsel-parallel worker-scaling curve. Informational, like
-# the other summaries.
+# size. Informational, like the other summaries.
 if command -v python3 >/dev/null 2>&1; then
   python3 - "${RUNTIME_EXEC_OUT_JSON}" <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
     report = json.load(f)
-row, vec, morsel = {}, {}, {}
+row, vec = {}, {}
 for b in report.get("benchmarks", []):
     if b.get("run_type") == "aggregate":
         continue
@@ -320,28 +316,10 @@ for b in report.get("benchmarks", []):
         row[n] = b["real_time"]
     elif name.startswith("BM_ExecuteVectorized/"):
         vec[n] = b["real_time"]
-    elif name.startswith("BM_ExecuteMorsel/"):
-        workers = name.split("workers:")[1].split("/")[0]
-        morsel[(n, int(workers))] = b
 for n in sorted(row, key=int):
     if n in vec and vec[n] > 0:
         print(f"vectorized speedup (n={n}): {row[n] / vec[n]:.1f}x "
               f"(row {row[n]:.2f}ms -> vectorized {vec[n]:.2f}ms)")
-if morsel:
-    cores = int(next(iter(morsel.values())).get("host_cores", 0))
-    print(f"morsel-parallel execution (host cores: {cores}):")
-    for n in sorted({k[0] for k in morsel}, key=int):
-        base = morsel.get((n, 1), {}).get("real_time")
-        for w in sorted(w for (nn, w) in morsel if nn == n):
-            b = morsel[(n, w)]
-            t = b["real_time"]
-            speedup = f"{base / t:.2f}x" if base and t else "n/a"
-            print(f"  n={n} workers={w}: {t:.2f} ms, speedup {speedup} "
-                  f"(morsels {b.get('morsels', 0):,.0f}, "
-                  f"build partitions {b.get('build_partitions', 0):,.0f})")
-    if cores <= 1:
-        print("  note: 1-core host; the worker sweep measures scheduling "
-              "overhead, not parallel speedup")
 EOF
 fi
 

@@ -51,18 +51,8 @@ class WorkStealingDeque {
     return item;
   }
 
-  bool Empty() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.empty();
-  }
-
-  size_t Size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::deque<T> items_;
 };
 

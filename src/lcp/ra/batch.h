@@ -141,33 +141,6 @@ class RowHashIndex {
     heads_[b] = static_cast<int32_t>(entries_.size() - 1);
   }
 
-  /// Number of buckets (a power of two), for partitioning the parallel
-  /// build into contiguous bucket ranges (DESIGN.md §13).
-  size_t bucket_count() const { return heads_.size(); }
-
-  /// Partitioned parallel build, phase 1: pre-sizes the entry array for a
-  /// dense one-entry-per-row build of `rows` rows. After this the index is
-  /// populated with FillBucketRange only — mixing in Insert would corrupt
-  /// the dense layout.
-  void PrepareDense(size_t rows) { entries_.assign(rows, Entry{kNil, 0}); }
-
-  /// Partitioned parallel build, phase 2: links every row whose bucket
-  /// (hashes[row] & mask) falls in [bucket_begin, bucket_end), scanning
-  /// rows in ascending order. Reproduces the sequential
-  /// Insert-in-row-order layout bit for bit: entry i describes row i, next
-  /// points at the previous row of the bucket, the head is the bucket's
-  /// last row. Disjoint bucket ranges write disjoint entries and heads, so
-  /// partitions run concurrently without atomics.
-  void FillBucketRange(const std::vector<size_t>& hashes, size_t bucket_begin,
-                       size_t bucket_end) {
-    for (size_t row = 0; row < hashes.size(); ++row) {
-      const size_t b = hashes[row] & mask_;
-      if (b < bucket_begin || b >= bucket_end) continue;
-      entries_[row] = Entry{heads_[b], static_cast<uint32_t>(row)};
-      heads_[b] = static_cast<int32_t>(row);
-    }
-  }
-
   /// Calls fn(row) for every candidate in `hash`'s bucket, most recent
   /// first, until fn returns true (found) or the chain ends.
   template <typename Fn>

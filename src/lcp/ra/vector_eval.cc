@@ -19,64 +19,18 @@ void NoteBatch(ExecStats* stats, size_t rows_in, const ColumnBatch& out) {
   stats->max_batch_rows = std::max(stats->max_batch_rows, out.num_rows());
 }
 
-/// True if live rows `a` and `b` agree on every column.
-bool LiveRowsEqual(const ColumnBatch& batch, size_t a, size_t b) {
-  for (size_t c = 0; c < batch.num_attrs(); ++c) {
-    if (batch.At(c, a) != batch.At(c, b)) return false;
-  }
-  return true;
-}
-
-/// Builds `index` over the `rn` rows of `batch` keyed by `cols`: the
-/// partitioned parallel build for large batches (hash pass over morsels,
-/// then one contiguous bucket range per partition owner — see
-/// RowHashIndex::FillBucketRange), the sequential insert-in-row-order loop
-/// otherwise. Both produce bit-identical bucket/entry layouts.
+/// Builds `index` over the rows of `batch` keyed by `cols`, inserting in
+/// row order.
 void BuildRowIndex(const ColumnBatch& batch, const std::vector<int>& cols,
-                   size_t rn, RowHashIndex& index, const MorselContext* ctx,
-                   ExecStats* stats) {
-  if (ctx != nullptr && ctx->Parallel(rn)) {
-    std::vector<size_t> hashes(rn);
-    const size_t morsels =
-        ParallelMorsels(*ctx, rn, [&](size_t, size_t begin, size_t end) {
-          for (size_t r = begin; r < end; ++r) {
-            hashes[r] = HashBatchRow(batch, cols, r);
-          }
-        });
-    index.PrepareDense(rn);
-    const size_t buckets = index.bucket_count();
-    const size_t parts = std::min<size_t>(
-        static_cast<size_t>(ctx->scheduler->num_workers()), buckets);
-    ctx->scheduler->ParallelFor(parts, [&](size_t p) {
-      if (ctx->Cancelled()) return;
-      index.FillBucketRange(hashes, buckets * p / parts,
-                            buckets * (p + 1) / parts);
-    });
-    if (stats != nullptr) {
-      stats->morsels += morsels;
-      stats->parallel_build_partitions += parts;
-    }
-  } else {
-    for (size_t r = 0; r < rn; ++r) {
-      index.Insert(HashBatchRow(batch, cols, r), static_cast<uint32_t>(r));
-    }
+                   RowHashIndex& index) {
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    index.Insert(HashBatchRow(batch, cols, r), static_cast<uint32_t>(r));
   }
-}
-
-/// Concatenates per-morsel index lists in morsel order (= row order).
-std::vector<uint32_t> ConcatParts(std::vector<std::vector<uint32_t>> parts,
-                                  size_t reserve_hint) {
-  std::vector<uint32_t> out;
-  out.reserve(reserve_hint);
-  for (std::vector<uint32_t>& part : parts) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
 }
 
 Result<ColumnBatch> EvalProject(const ColumnBatch& input,
                                 const std::vector<std::string>& attrs,
-                                const MorselContext* ctx, ExecStats* stats) {
+                                ExecStats* stats) {
   std::vector<int> indexes;
   indexes.reserve(attrs.size());
   for (const std::string& attr : attrs) {
@@ -93,7 +47,7 @@ Result<ColumnBatch> EvalProject(const ColumnBatch& input,
   std::unordered_set<int> kept(indexes.begin(), indexes.end());
   if (kept.size() < input.num_attrs()) {
     size_t dropped = 0;
-    out = DeduplicatedMorsel(out, ctx, stats, &dropped);
+    out = out.Deduplicated(&dropped);
     if (stats != nullptr) stats->dedup_drops += dropped;
   }
   NoteBatch(stats, input.num_rows(), out);
@@ -102,8 +56,7 @@ Result<ColumnBatch> EvalProject(const ColumnBatch& input,
 
 Result<ColumnBatch> EvalSelect(const ColumnBatch& input,
                                const std::vector<RaExpr::Condition>& conditions,
-                               TermPool& pool, const MorselContext* ctx,
-                               ExecStats* stats) {
+                               TermPool& pool, ExecStats* stats) {
   struct ResolvedCondition {
     bool attr_eq_attr;
     int lhs;
@@ -148,26 +101,9 @@ Result<ColumnBatch> EvalSelect(const ColumnBatch& input,
     return true;
   };
   std::vector<uint32_t> live;
-  if (ctx != nullptr && ctx->Parallel(n)) {
-    // Per-morsel survivor lists, concatenated in morsel order so the live
-    // list is the same ascending row list the sequential scan produces.
-    const size_t mr = ctx->morsel_rows;
-    std::vector<std::vector<uint32_t>> parts((n + mr - 1) / mr);
-    const size_t morsels =
-        ParallelMorsels(*ctx, n, [&](size_t m, size_t begin, size_t end) {
-          std::vector<uint32_t>& part = parts[m];
-          part.reserve(end - begin);
-          for (size_t i = begin; i < end; ++i) {
-            if (row_passes(i)) part.push_back(static_cast<uint32_t>(i));
-          }
-        });
-    if (stats != nullptr) stats->morsels += morsels;
-    live = ConcatParts(std::move(parts), n);
-  } else {
-    live.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (row_passes(i)) live.push_back(static_cast<uint32_t>(i));
-    }
+  live.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (row_passes(i)) live.push_back(static_cast<uint32_t>(i));
   }
   ColumnBatch out = live.size() == n ? input : input.Filtered(std::move(live));
   NoteBatch(stats, n, out);
@@ -179,7 +115,7 @@ Result<ColumnBatch> EvalSelect(const ColumnBatch& input,
 /// the right, probes the left in live order, and emits matches in right
 /// insertion order — the row evaluator's emission order exactly.
 Result<ColumnBatch> EvalJoin(const ColumnBatch& left, const ColumnBatch& right,
-                             const MorselContext* ctx, ExecStats* stats) {
+                             ExecStats* stats) {
   std::vector<int> shared_left;   // key columns on the left
   std::vector<int> shared_right;  // key columns on the right
   std::vector<int> right_extra;   // right attrs not in left
@@ -198,10 +134,9 @@ Result<ColumnBatch> EvalJoin(const ColumnBatch& left, const ColumnBatch& right,
 
   // Build side: right rows bucketed by key hash (flat chained index;
   // candidates are verified code-by-code, so hash collisions cost time,
-  // never rows). Large build sides go through the partitioned parallel
-  // build, which reproduces the sequential layout bit for bit.
+  // never rows).
   RowHashIndex index(rn);
-  BuildRowIndex(right, shared_right, rn, index, ctx, stats);
+  BuildRowIndex(right, shared_right, index);
 
   auto keys_match = [&](size_t l, size_t r) {
     for (size_t k = 0; k < shared_left.size(); ++k) {
@@ -216,13 +151,11 @@ Result<ColumnBatch> EvalJoin(const ColumnBatch& left, const ColumnBatch& right,
   // Probe: gather matching (left, right) live-row index pairs. Matches for
   // one probe key must come out in right insertion order; the multimap does
   // not guarantee that, so bucket candidates are collected and sorted (the
-  // candidate list for one key is typically tiny). Parallel probes keep
-  // per-morsel pair lists and concatenate them in morsel order — the exact
-  // sequential emission order.
+  // candidate list for one key is typically tiny).
   std::vector<uint32_t> l_idx;
   std::vector<uint32_t> r_idx;
-  auto probe_row = [&](size_t l, std::vector<uint32_t>& candidates,
-                       std::vector<uint32_t>& ls, std::vector<uint32_t>& rs) {
+  std::vector<uint32_t> candidates;
+  for (size_t l = 0; l < ln; ++l) {
     const size_t h = HashBatchRow(left, shared_left, l);
     candidates.clear();
     index.ForEachCandidate(h, [&](uint32_t r) {
@@ -231,29 +164,8 @@ Result<ColumnBatch> EvalJoin(const ColumnBatch& left, const ColumnBatch& right,
     });
     std::sort(candidates.begin(), candidates.end());
     for (uint32_t r : candidates) {
-      ls.push_back(static_cast<uint32_t>(l));
-      rs.push_back(r);
-    }
-  };
-  if (ctx != nullptr && ctx->Parallel(ln)) {
-    const size_t mr = ctx->morsel_rows;
-    const size_t count = (ln + mr - 1) / mr;
-    std::vector<std::vector<uint32_t>> lparts(count);
-    std::vector<std::vector<uint32_t>> rparts(count);
-    const size_t morsels =
-        ParallelMorsels(*ctx, ln, [&](size_t m, size_t begin, size_t end) {
-          std::vector<uint32_t> candidates;
-          for (size_t l = begin; l < end; ++l) {
-            probe_row(l, candidates, lparts[m], rparts[m]);
-          }
-        });
-    if (stats != nullptr) stats->morsels += morsels;
-    l_idx = ConcatParts(std::move(lparts), ln);
-    r_idx = ConcatParts(std::move(rparts), ln);
-  } else {
-    std::vector<uint32_t> candidates;
-    for (size_t l = 0; l < ln; ++l) {
-      probe_row(l, candidates, l_idx, r_idx);
+      l_idx.push_back(static_cast<uint32_t>(l));
+      r_idx.push_back(r);
     }
   }
   if (stats != nullptr) stats->probe_hits += l_idx.size();
@@ -263,35 +175,16 @@ Result<ColumnBatch> EvalJoin(const ColumnBatch& left, const ColumnBatch& right,
   for (int j : right_extra) out_attrs.push_back(right.attrs()[j]);
   std::vector<std::vector<TermCode>> out_cols(out_attrs.size());
   const size_t out_n = l_idx.size();
-  if (ctx != nullptr && ctx->Parallel(out_n)) {
-    for (auto& col : out_cols) col.assign(out_n, 0);
-    const size_t morsels =
-        ParallelMorsels(*ctx, out_n, [&](size_t, size_t begin, size_t end) {
-          for (size_t c = 0; c < left.num_attrs(); ++c) {
-            for (size_t i = begin; i < end; ++i) {
-              out_cols[c][i] = left.At(c, l_idx[i]);
-            }
-          }
-          for (size_t e = 0; e < right_extra.size(); ++e) {
-            const size_t c = static_cast<size_t>(right_extra[e]);
-            for (size_t i = begin; i < end; ++i) {
-              out_cols[left.num_attrs() + e][i] = right.At(c, r_idx[i]);
-            }
-          }
-        });
-    if (stats != nullptr) stats->morsels += morsels;
-  } else {
-    for (auto& col : out_cols) col.reserve(out_n);
-    for (size_t c = 0; c < left.num_attrs(); ++c) {
-      for (size_t i = 0; i < out_n; ++i) {
-        out_cols[c].push_back(left.At(c, l_idx[i]));
-      }
+  for (auto& col : out_cols) col.reserve(out_n);
+  for (size_t c = 0; c < left.num_attrs(); ++c) {
+    for (size_t i = 0; i < out_n; ++i) {
+      out_cols[c].push_back(left.At(c, l_idx[i]));
     }
-    for (size_t e = 0; e < right_extra.size(); ++e) {
-      const size_t c = static_cast<size_t>(right_extra[e]);
-      for (size_t i = 0; i < out_n; ++i) {
-        out_cols[left.num_attrs() + e].push_back(right.At(c, r_idx[i]));
-      }
+  }
+  for (size_t e = 0; e < right_extra.size(); ++e) {
+    const size_t c = static_cast<size_t>(right_extra[e]);
+    for (size_t i = 0; i < out_n; ++i) {
+      out_cols[left.num_attrs() + e].push_back(right.At(c, r_idx[i]));
     }
   }
   ColumnBatch out =
@@ -323,35 +216,21 @@ Result<std::vector<int>> AlignAttrs(const std::vector<std::string>& to,
 }
 
 Result<ColumnBatch> EvalUnion(const ColumnBatch& left, const ColumnBatch& right,
-                              const MorselContext* ctx, ExecStats* stats) {
+                              ExecStats* stats) {
   LCP_ASSIGN_OR_RETURN(std::vector<int> perm, AlignAttrs(left.attrs(), right));
   const size_t ln = left.num_rows();
   const size_t rn = right.num_rows();
   std::vector<std::vector<TermCode>> cols(left.num_attrs());
-  if (ctx != nullptr && ctx->Parallel(ln + rn)) {
-    for (auto& col : cols) col.assign(ln + rn, 0);
-    const size_t morsels =
-        ParallelMorsels(*ctx, ln + rn, [&](size_t, size_t begin, size_t end) {
-          for (size_t c = 0; c < left.num_attrs(); ++c) {
-            const size_t rc = static_cast<size_t>(perm[c]);
-            for (size_t i = begin; i < end; ++i) {
-              cols[c][i] = i < ln ? left.At(c, i) : right.At(rc, i - ln);
-            }
-          }
-        });
-    if (stats != nullptr) stats->morsels += morsels;
-  } else {
-    for (size_t c = 0; c < left.num_attrs(); ++c) {
-      cols[c].reserve(ln + rn);
-      for (size_t i = 0; i < ln; ++i) cols[c].push_back(left.At(c, i));
-      const size_t rc = static_cast<size_t>(perm[c]);
-      for (size_t i = 0; i < rn; ++i) cols[c].push_back(right.At(rc, i));
-    }
+  for (size_t c = 0; c < left.num_attrs(); ++c) {
+    cols[c].reserve(ln + rn);
+    for (size_t i = 0; i < ln; ++i) cols[c].push_back(left.At(c, i));
+    const size_t rc = static_cast<size_t>(perm[c]);
+    for (size_t i = 0; i < rn; ++i) cols[c].push_back(right.At(rc, i));
   }
   size_t dropped = 0;
-  ColumnBatch out = DeduplicatedMorsel(
-      ColumnBatch::FromDense(left.attrs(), std::move(cols), ln + rn), ctx,
-      stats, &dropped);
+  ColumnBatch out =
+      ColumnBatch::FromDense(left.attrs(), std::move(cols), ln + rn)
+          .Deduplicated(&dropped);
   if (stats != nullptr) stats->dedup_drops += dropped;
   NoteBatch(stats, ln + rn, out);
   return out;
@@ -359,12 +238,11 @@ Result<ColumnBatch> EvalUnion(const ColumnBatch& left, const ColumnBatch& right,
 
 Result<ColumnBatch> EvalDifference(const ColumnBatch& left,
                                    const ColumnBatch& right,
-                                   const MorselContext* ctx,
                                    ExecStats* stats) {
   LCP_ASSIGN_OR_RETURN(std::vector<int> perm, AlignAttrs(left.attrs(), right));
   const size_t rn = right.num_rows();
   RowHashIndex negatives(rn);
-  BuildRowIndex(right, perm, rn, negatives, ctx, stats);
+  BuildRowIndex(right, perm, negatives);
   std::vector<int> left_cols(left.num_attrs());
   for (size_t c = 0; c < left.num_attrs(); ++c) {
     left_cols[c] = static_cast<int>(c);
@@ -387,23 +265,9 @@ Result<ColumnBatch> EvalDifference(const ColumnBatch& left,
   };
   const size_t ln = left.num_rows();
   std::vector<uint32_t> live;
-  if (ctx != nullptr && ctx->Parallel(ln)) {
-    const size_t mr = ctx->morsel_rows;
-    std::vector<std::vector<uint32_t>> parts((ln + mr - 1) / mr);
-    const size_t morsels =
-        ParallelMorsels(*ctx, ln, [&](size_t m, size_t begin, size_t end) {
-          std::vector<uint32_t>& part = parts[m];
-          for (size_t l = begin; l < end; ++l) {
-            if (!in_right(l)) part.push_back(static_cast<uint32_t>(l));
-          }
-        });
-    if (stats != nullptr) stats->morsels += morsels;
-    live = ConcatParts(std::move(parts), ln);
-  } else {
-    live.reserve(ln);
-    for (size_t l = 0; l < ln; ++l) {
-      if (!in_right(l)) live.push_back(static_cast<uint32_t>(l));
-    }
+  live.reserve(ln);
+  for (size_t l = 0; l < ln; ++l) {
+    if (!in_right(l)) live.push_back(static_cast<uint32_t>(l));
   }
   ColumnBatch out = live.size() == ln ? left : left.Filtered(std::move(live));
   // A duplicate-free left stays duplicate-free under filtering; only the
@@ -437,84 +301,12 @@ Result<ColumnBatch> EvalRename(
 
 }  // namespace
 
-ColumnBatch DeduplicatedMorsel(const ColumnBatch& batch,
-                               const MorselContext* ctx, ExecStats* stats,
-                               size_t* dropped) {
-  const size_t n = batch.num_rows();
-  if (ctx == nullptr || !ctx->Parallel(n) || batch.num_attrs() == 0 ||
-      ctx->scheduler->num_workers() < 2) {
-    return batch.Deduplicated(dropped);
-  }
-  std::vector<int> all_cols(batch.num_attrs());
-  for (size_t c = 0; c < batch.num_attrs(); ++c) {
-    all_cols[c] = static_cast<int>(c);
-  }
-  // Phase 1: row hashes, morsel-parallel.
-  std::vector<size_t> hashes(n);
-  const size_t morsels =
-      ParallelMorsels(*ctx, n, [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          hashes[i] = HashBatchRow(batch, all_cols, i);
-        }
-      });
-  // Phase 2: hash-partitioned first-occurrence scan. Each of the
-  // (power-of-two, >= workers) partition owners scans all rows in global
-  // order, handles only rows whose mixed hash lands in its partition, and
-  // flags survivors. Equal rows share a hash, hence a partition, so the
-  // keep flags equal the sequential pass's; distinct partitions write
-  // distinct keep bytes, so no atomics are needed. The partition selector
-  // uses the hash's high multiplied bits while the per-partition index
-  // buckets use its low bits, keeping local chains short.
-  size_t partitions = 2;
-  while (partitions < static_cast<size_t>(ctx->scheduler->num_workers())) {
-    partitions <<= 1;
-  }
-  int bits = 1;
-  while ((static_cast<size_t>(1) << bits) < partitions) ++bits;
-  const int shift = 64 - bits;
-  std::vector<uint8_t> keep(n, 0);
-  ctx->scheduler->ParallelFor(partitions, [&](size_t part) {
-    if (ctx->Cancelled()) return;
-    RowHashIndex local(n / partitions + 8);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t h = hashes[i];
-      if ((h * 0x9e3779b97f4a7c15ULL) >> shift != part) continue;
-      bool dup = false;
-      local.ForEachCandidate(h, [&](uint32_t kept_row) {
-        dup = LiveRowsEqual(batch, kept_row, i);
-        return dup;
-      });
-      if (dup) continue;
-      local.Insert(h, static_cast<uint32_t>(i));
-      keep[i] = 1;
-    }
-  });
-  if (stats != nullptr) {
-    stats->morsels += morsels;
-    stats->parallel_build_partitions += partitions;
-  }
-  // Phase 3: the live list in ascending row order = first-appearance order.
-  std::vector<uint32_t> live;
-  live.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (keep[i] != 0) live.push_back(static_cast<uint32_t>(i));
-  }
-  if (dropped != nullptr) *dropped = n - live.size();
-  if (live.size() == n) return batch;
-  return batch.Filtered(std::move(live));
-}
-
 Result<ColumnBatch> EvaluateRaVectorized(const RaExpr& expr,
                                          const BatchEnv& env, TermPool& pool,
-                                         ExecStats* stats,
-                                         const MorselContext* morsels) {
-  // Morsel-boundary cancellation: once the token trips, in-flight morsels
-  // become no-ops and the whole evaluation unwinds here rather than
-  // returning a partially-built batch.
-  if (morsels != nullptr && morsels->Cancelled()) {
-    return Status(morsels->cancel->code(),
-                  "plan execution cancelled at morsel boundary");
-  }
+                                         ExecStats* stats) {
+  auto eval_child = [&](size_t i) {
+    return EvaluateRaVectorized(*expr.children()[i], env, pool, stats);
+  };
   switch (expr.op()) {
     case RaExpr::Op::kTempScan: {
       auto it = env.find(expr.table());
@@ -527,48 +319,30 @@ Result<ColumnBatch> EvaluateRaVectorized(const RaExpr& expr,
       return ColumnBatch::FromDense({}, {}, 1);
     }
     case RaExpr::Op::kProject: {
-      LCP_ASSIGN_OR_RETURN(ColumnBatch child,
-                           EvaluateRaVectorized(*expr.children()[0], env, pool,
-                                                stats, morsels));
-      return EvalProject(child, expr.attrs(), morsels, stats);
+      LCP_ASSIGN_OR_RETURN(ColumnBatch child, eval_child(0));
+      return EvalProject(child, expr.attrs(), stats);
     }
     case RaExpr::Op::kSelect: {
-      LCP_ASSIGN_OR_RETURN(ColumnBatch child,
-                           EvaluateRaVectorized(*expr.children()[0], env, pool,
-                                                stats, morsels));
-      return EvalSelect(child, expr.conditions(), pool, morsels, stats);
+      LCP_ASSIGN_OR_RETURN(ColumnBatch child, eval_child(0));
+      return EvalSelect(child, expr.conditions(), pool, stats);
     }
     case RaExpr::Op::kJoin: {
-      LCP_ASSIGN_OR_RETURN(ColumnBatch left,
-                           EvaluateRaVectorized(*expr.children()[0], env, pool,
-                                                stats, morsels));
-      LCP_ASSIGN_OR_RETURN(ColumnBatch right,
-                           EvaluateRaVectorized(*expr.children()[1], env, pool,
-                                                stats, morsels));
-      return EvalJoin(left, right, morsels, stats);
+      LCP_ASSIGN_OR_RETURN(ColumnBatch left, eval_child(0));
+      LCP_ASSIGN_OR_RETURN(ColumnBatch right, eval_child(1));
+      return EvalJoin(left, right, stats);
     }
     case RaExpr::Op::kUnion: {
-      LCP_ASSIGN_OR_RETURN(ColumnBatch left,
-                           EvaluateRaVectorized(*expr.children()[0], env, pool,
-                                                stats, morsels));
-      LCP_ASSIGN_OR_RETURN(ColumnBatch right,
-                           EvaluateRaVectorized(*expr.children()[1], env, pool,
-                                                stats, morsels));
-      return EvalUnion(left, right, morsels, stats);
+      LCP_ASSIGN_OR_RETURN(ColumnBatch left, eval_child(0));
+      LCP_ASSIGN_OR_RETURN(ColumnBatch right, eval_child(1));
+      return EvalUnion(left, right, stats);
     }
     case RaExpr::Op::kDifference: {
-      LCP_ASSIGN_OR_RETURN(ColumnBatch left,
-                           EvaluateRaVectorized(*expr.children()[0], env, pool,
-                                                stats, morsels));
-      LCP_ASSIGN_OR_RETURN(ColumnBatch right,
-                           EvaluateRaVectorized(*expr.children()[1], env, pool,
-                                                stats, morsels));
-      return EvalDifference(left, right, morsels, stats);
+      LCP_ASSIGN_OR_RETURN(ColumnBatch left, eval_child(0));
+      LCP_ASSIGN_OR_RETURN(ColumnBatch right, eval_child(1));
+      return EvalDifference(left, right, stats);
     }
     case RaExpr::Op::kRename: {
-      LCP_ASSIGN_OR_RETURN(ColumnBatch child,
-                           EvaluateRaVectorized(*expr.children()[0], env, pool,
-                                                stats, morsels));
+      LCP_ASSIGN_OR_RETURN(ColumnBatch child, eval_child(0));
       return EvalRename(child, expr.renames(), stats);
     }
   }

@@ -8,14 +8,14 @@
 #include "lcp/base/result.h"
 #include "lcp/ra/batch.h"
 #include "lcp/ra/expr.h"
-#include "lcp/ra/morsel.h"
 
 namespace lcp {
 
 /// Per-operator batch accounting for one plan execution under the
-/// vectorized engine (the sibling of RetryStats on ExecutionResult). These
-/// are the numbers the cost-model feedback loop reads: real batch sizes,
-/// probe hit rates, and dedup pressure per executed plan.
+/// vectorized engine (the sibling of RetryStats on ExecutionResult): real
+/// batch sizes, probe hit rates, and dedup pressure per executed plan. The
+/// service aggregates the access counters into ServiceStats, and the
+/// end-to-end benchmark reports them per request.
 struct ExecStats {
   size_t batches = 0;          ///< Operator output batches produced.
   size_t rows_in = 0;          ///< Rows flowing into operators.
@@ -25,11 +25,6 @@ struct ExecStats {
   size_t access_batches = 0;   ///< Batched source dispatches issued.
   size_t access_bindings = 0;  ///< Distinct bindings across those dispatches.
   size_t max_batch_rows = 0;   ///< Widest operator output batch observed.
-  size_t morsels = 0;          ///< Cache-sized morsels launched in parallel.
-  /// Partitions across parallel hash builds (join/difference builds and
-  /// hash-partitioned dedup passes). 0 under exec_parallelism=1.
-  size_t parallel_build_partitions = 0;
-  size_t exec_workers = 0;     ///< Execution workers used (1 = sequential).
 };
 
 /// The vectorized middleware environment: columnar batches by table name,
@@ -45,25 +40,9 @@ using BatchEnv = std::unordered_map<std::string, ColumnBatch>;
 ///
 /// `pool` is the shared dictionary (selection constants are interned into
 /// it); `stats` (optional) accumulates per-operator batch accounting.
-/// `morsels` (optional) turns on morsel-driven parallelism (DESIGN.md §13):
-/// large batches are split into cache-sized morsels whose per-worker
-/// outputs are concatenated in canonical order, so the result — rows,
-/// order, and stats other than the morsel counters — is identical to the
-/// sequential pass at any worker count.
 Result<ColumnBatch> EvaluateRaVectorized(const RaExpr& expr,
                                          const BatchEnv& env, TermPool& pool,
-                                         ExecStats* stats = nullptr,
-                                         const MorselContext* morsels = nullptr);
-
-/// Batch dedup that goes morsel-parallel for large inputs: a
-/// hash-partitioned first-occurrence scan where every partition owner scans
-/// rows in global order and flags survivors (equal rows share a hash, hence
-/// a partition, so the flags match the sequential pass exactly). Falls back
-/// to ColumnBatch::Deduplicated for small inputs or a null context. Also
-/// used by the executor's access-output store.
-ColumnBatch DeduplicatedMorsel(const ColumnBatch& batch,
-                               const MorselContext* ctx, ExecStats* stats,
-                               size_t* dropped);
+                                         ExecStats* stats = nullptr);
 
 }  // namespace lcp
 

@@ -9,9 +9,7 @@
 
 #include "lcp/base/check.h"
 #include "lcp/base/strings.h"
-#include "lcp/base/work_steal.h"
 #include "lcp/ra/batch.h"
-#include "lcp/ra/morsel.h"
 
 namespace lcp {
 
@@ -516,8 +514,7 @@ Result<ExecutionResult> ExecutePlanRow(const Plan& plan, AccessSource& source,
 
 /// Distinct access bindings in first-appearance order, deduped over term
 /// codes (no Value hashing), decoded once per distinct binding at the
-/// source boundary. Shared by the sequential access path and the morsel
-/// driver's overlapped dispatch.
+/// source boundary.
 Result<std::vector<Tuple>> ComputeAccessBindings(const AccessCommand& access,
                                                  const AccessInputSpec& spec,
                                                  const AccessMethod& method,
@@ -571,16 +568,13 @@ Result<std::vector<Tuple>> ComputeAccessBindings(const AccessCommand& access,
 /// Stores a fresh access answer batch into the environment with set
 /// semantics, appending to an existing table of the same name if the plan
 /// reuses it (mirrors the row engine's insert-into-existing-table), and
-/// charges the per-access exec stats. `ctx` (nullable) lets the dedup pass
-/// go morsel-parallel.
+/// charges the per-access exec stats.
 Status StoreAccessOutput(const AccessCommand& access, ColumnBatch fresh,
-                         BatchEnv& env, ExecStats& exec,
-                         const MorselContext* ctx) {
+                         BatchEnv& env, ExecStats& exec) {
   auto it = env.find(access.output_table);
   size_t dropped = 0;
   if (it == env.end()) {
-    env.emplace(access.output_table,
-                DeduplicatedMorsel(fresh, ctx, &exec, &dropped));
+    env.emplace(access.output_table, fresh.Deduplicated(&dropped));
   } else {
     // Existing rows first, new rows appended, first appearance wins.
     const ColumnBatch& existing = it->second;
@@ -597,9 +591,9 @@ Status StoreAccessOutput(const AccessCommand& access, ColumnBatch fresh,
       for (size_t i = 0; i < en; ++i) cols[c].push_back(existing.At(c, i));
       for (size_t i = 0; i < fn; ++i) cols[c].push_back(fresh.At(c, i));
     }
-    it->second = DeduplicatedMorsel(
-        ColumnBatch::FromDense(existing.attrs(), std::move(cols), en + fn),
-        ctx, &exec, &dropped);
+    it->second =
+        ColumnBatch::FromDense(existing.attrs(), std::move(cols), en + fn)
+            .Deduplicated(&dropped);
   }
   const ColumnBatch& stored = env.find(access.output_table)->second;
   exec.dedup_drops += dropped;
@@ -609,10 +603,9 @@ Status StoreAccessOutput(const AccessCommand& access, ColumnBatch fresh,
   return Status::Ok();
 }
 
-/// Runs one access command against the batch environment (the sequential
-/// path): evaluates the input expression columnar, dedups bindings over
-/// term codes, dispatches one batch, and collects the answers as fresh
-/// dictionary-encoded columns.
+/// Runs one access command against the batch environment: evaluates the
+/// input expression columnar, dedups bindings over term codes, dispatches
+/// one batch, and collects the answers as fresh dictionary-encoded columns.
 Status RunAccessVectorized(const AccessCommand& access, const Schema& schema,
                            AccessSource& source, BatchEnv& env, TermPool& pool,
                            RetryState& rs) {
@@ -658,172 +651,33 @@ Status RunAccessVectorized(const AccessCommand& access, const Schema& schema,
   ColumnBatch fresh =
       ColumnBatch::FromDense(std::move(out_attrs), std::move(out_cols),
                              out_rows);
-  return StoreAccessOutput(access, std::move(fresh), env, exec, nullptr);
+  return StoreAccessOutput(access, std::move(fresh), env, exec);
 }
 
-/// True iff `expr` scans the temporary table `table` anywhere in its tree —
-/// the dependency test deciding whether a middleware command may overlap
-/// the in-flight access dispatch.
-bool ExprReadsTable(const RaExpr& expr, const std::string& table) {
-  if (expr.op() == RaExpr::Op::kTempScan) return expr.table() == table;
-  for (const auto& child : expr.children()) {
-    if (ExprReadsTable(*child, table)) return true;
-  }
-  return false;
-}
-
-/// One in-flight batched access dispatch (morsel driver only). The task
-/// runs DispatchBindings on a non-driver worker while the driver evaluates
-/// independent middleware commands. At most one access is pending at a
-/// time: sources are stateful and their seeded fault schedules are part of
-/// the determinism contract, so source dispatch stays serialized in plan
-/// order — overlap buys dispatch-vs-operator concurrency, never
-/// access-vs-access reordering. The task touches only this struct, the
-/// source, and the retry state (all owned by it until Wait returns); in
-/// particular it never interns into the TermPool, which stays
-/// driver-single-threaded.
-struct PendingAccess {
-  const AccessCommand* access = nullptr;
-  std::vector<std::string> out_attrs;
-  std::vector<Tuple> bindings;
-  std::vector<Tuple> kept;  // position-filtered answer rows, consume order
-  Status dispatch_status;
-  MorselScheduler::Async task;
-  bool active = false;
-};
-
-/// The vectorized command loop, shared by the sequential engine
-/// (scheduler == nullptr: the historic byte-identical path) and the morsel
-/// driver (worker 0 of a RunWorkers pool).
-Result<ExecutionResult> ExecutePlanVectorizedImpl(
-    const Plan& plan, AccessSource& source, const ExecutionOptions& options,
-    TableEnv* final_env, MorselScheduler* scheduler) {
+Result<ExecutionResult> ExecutePlanVectorized(const Plan& plan,
+                                              AccessSource& source,
+                                              const ExecutionOptions& options,
+                                              TableEnv* final_env) {
   ExecutionResult result;
   RetryState rs(options, source.schema(), result);
   TermPool pool;
   BatchEnv env;
-
-  MorselContext ctx_storage;
-  const MorselContext* ctx = nullptr;
-  if (scheduler != nullptr) {
-    ctx_storage.scheduler = scheduler;
-    ctx_storage.morsel_rows =
-        options.morsel_rows > 0 ? options.morsel_rows : DeriveMorselRows();
-    ctx_storage.cancel = options.cancel;
-    ctx = &ctx_storage;
-  }
-  result.exec.exec_workers =
-      scheduler != nullptr ? static_cast<size_t>(scheduler->num_workers()) : 1;
-
-  PendingAccess pending;
-  // Joins the in-flight access: waits for the dispatch task, then interns
-  // the kept rows into columns (driver-side — the pool is single-threaded
-  // by design) and stores them with set semantics.
-  auto join_pending = [&]() -> Status {
-    if (!pending.active) return Status::Ok();
-    pending.task.Wait();
-    pending.active = false;
-    LCP_RETURN_IF_ERROR(pending.dispatch_status);
-    const AccessCommand& access = *pending.access;
-    std::vector<std::vector<TermCode>> out_cols(pending.out_attrs.size());
-    for (auto& col : out_cols) col.reserve(pending.kept.size());
-    for (const Tuple& tuple : pending.kept) {
-      for (size_t k = 0; k < access.output_columns.size(); ++k) {
-        out_cols[k].push_back(
-            pool.Intern(tuple[access.output_columns[k].second]));
-      }
-    }
-    ColumnBatch fresh =
-        ColumnBatch::FromDense(std::move(pending.out_attrs),
-                               std::move(out_cols), pending.kept.size());
-    pending.bindings.clear();
-    pending.kept.clear();
-    return StoreAccessOutput(access, std::move(fresh), env, result.exec, ctx);
-  };
-  // Launches one access command as an async dispatch task. Input
-  // evaluation, input resolution, and binding dedup happen on the driver
-  // before launch; only the source dispatch itself runs on a worker.
-  auto launch_access = [&](const AccessCommand& access) -> Status {
-    const AccessMethod& method = source.schema().access_method(access.method);
-    ColumnBatch input_batch;
-    if (access.input != nullptr) {
-      LCP_ASSIGN_OR_RETURN(
-          input_batch,
-          EvaluateRaVectorized(*access.input, env, pool, &result.exec, ctx));
-    }
-    LCP_ASSIGN_OR_RETURN(
-        AccessInputSpec spec,
-        ResolveAccessInputs(access, method, [&](const std::string& attr) {
-          return input_batch.AttrIndex(attr);
-        }));
-    LCP_ASSIGN_OR_RETURN(
-        pending.bindings,
-        ComputeAccessBindings(access, spec, method, input_batch, pool));
-    pending.access = &access;
-    pending.out_attrs.clear();
-    pending.out_attrs.reserve(access.output_columns.size());
-    for (const auto& [attr, pos] : access.output_columns) {
-      pending.out_attrs.push_back(attr);
-    }
-    pending.kept.clear();
-    pending.dispatch_status = Status::Ok();
-    pending.active = true;
-    pending.task =
-        scheduler->SubmitAsync([&pending, &source, &rs, acc = &access] {
-          pending.dispatch_status = DispatchBindings(
-              source, acc->method, pending.bindings, rs,
-              [&](const std::vector<Tuple>& rows) {
-                for (const Tuple& tuple : rows) {
-                  if (!PassesPositionFilters(*acc, tuple)) continue;
-                  pending.kept.push_back(tuple);
-                }
-              });
-        });
-    return Status::Ok();
-  };
-
   for (const Command& cmd : plan.commands) {
     if (options.cancel != nullptr && options.cancel->cancelled()) {
-      // The dispatch task aborts at its own cancel gates; wait it out so
-      // nothing references this frame after we return.
-      if (pending.active) {
-        pending.task.Wait();
-        pending.active = false;
-      }
       return Status(options.cancel->code(),
                     "plan execution cancelled between commands");
     }
     if (const auto* access = std::get_if<AccessCommand>(&cmd)) {
-      LCP_RETURN_IF_ERROR(join_pending());
       ++result.access_commands;
-      if (scheduler == nullptr) {
-        LCP_RETURN_IF_ERROR(RunAccessVectorized(*access, source.schema(),
-                                                source, env, pool, rs));
-      } else {
-        LCP_RETURN_IF_ERROR(launch_access(*access));
-      }
+      LCP_RETURN_IF_ERROR(RunAccessVectorized(*access, source.schema(), source,
+                                              env, pool, rs));
     } else {
       const QueryCommand& query = std::get<QueryCommand>(cmd);
-      if (pending.active &&
-          (query.output_table == pending.access->output_table ||
-           ExprReadsTable(*query.expr, pending.access->output_table))) {
-        LCP_RETURN_IF_ERROR(join_pending());
-      }
-      Result<ColumnBatch> batch =
-          EvaluateRaVectorized(*query.expr, env, pool, &result.exec, ctx);
-      if (!batch.ok()) {
-        // Commands fail in plan order: if the overlapped access (an earlier
-        // command) also failed, its status wins over this one's.
-        Status joined = join_pending();
-        return joined.ok() ? batch.status() : joined;
-      }
-      env[query.output_table] = std::move(*batch);
+      LCP_ASSIGN_OR_RETURN(
+          ColumnBatch batch,
+          EvaluateRaVectorized(*query.expr, env, pool, &result.exec));
+      env[query.output_table] = std::move(batch);
     }
-  }
-  LCP_RETURN_IF_ERROR(join_pending());
-  if (ctx != nullptr && ctx->Cancelled()) {
-    return Status(options.cancel->code(),
-                  "plan execution cancelled at morsel boundary");
   }
   auto it = env.find(plan.output_table);
   if (it == env.end()) {
@@ -836,13 +690,7 @@ Result<ExecutionResult> ExecutePlanVectorizedImpl(
         EvaluateRaVectorized(*RaExpr::Project(RaExpr::TempScan(
                                                   plan.output_table),
                                               plan.output_attrs),
-                             env, pool, &result.exec, ctx));
-    if (ctx != nullptr && ctx->Cancelled()) {
-      // A morsel of the final projection may have been skipped; never
-      // return a partial output with an ok status.
-      return Status(options.cancel->code(),
-                    "plan execution cancelled at morsel boundary");
-    }
+                             env, pool, &result.exec));
     result.output = projected.ToTable(pool);
   } else {
     // Boolean plan: output is the nullary projection (empty vs. non-empty).
@@ -857,32 +705,6 @@ Result<ExecutionResult> ExecutePlanVectorizedImpl(
     }
   }
   return result;
-}
-
-Result<ExecutionResult> ExecutePlanVectorized(const Plan& plan,
-                                              AccessSource& source,
-                                              const ExecutionOptions& options,
-                                              TableEnv* final_env) {
-  const int workers = options.exec_parallelism;
-  if (workers <= 1) {
-    return ExecutePlanVectorizedImpl(plan, source, options, final_env,
-                                     nullptr);
-  }
-  // Morsel-parallel: worker 0 drives the plan, workers 1..n-1 execute
-  // morsels and the overlapped access dispatch until the driver shuts the
-  // scheduler down (base/work_steal.h owns the thread lifecycle).
-  MorselScheduler scheduler(workers);
-  Result<ExecutionResult> out = InternalError("morsel driver did not run");
-  RunWorkers(workers, [&](int id) {
-    if (id == 0) {
-      out = ExecutePlanVectorizedImpl(plan, source, options, final_env,
-                                      &scheduler);
-      scheduler.Shutdown();
-    } else {
-      scheduler.WorkerLoop(id);
-    }
-  });
-  return out;
 }
 
 }  // namespace

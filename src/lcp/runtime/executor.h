@@ -93,18 +93,6 @@ struct ExecutionOptions {
   /// Engine selection; vectorized is the default, the row engine is the
   /// always-available oracle.
   ExecutionEngine engine = ExecutionEngine::kVectorized;
-  /// Morsel-driven intra-plan parallelism for the vectorized engine
-  /// (DESIGN.md §13): the number of execution workers for one ExecutePlan
-  /// call. 1 (the default) is the historic single-threaded engine; higher
-  /// counts split large batches into cache-sized morsels, run partitioned
-  /// parallel hash builds/probes and dedup, and overlap the batched source
-  /// dispatch with downstream operator work. Results — tables, row order,
-  /// statuses, and retry accounting — are identical at every setting; the
-  /// row-oracle engine ignores this knob.
-  int exec_parallelism = 1;
-  /// Rows per morsel; 0 (the default) derives the size from the L2 cache
-  /// (DeriveMorselRows). Only consulted when exec_parallelism > 1.
-  size_t morsel_rows = 0;
   /// Source-health feedback (DESIGN.md §10): when set, the executor reports
   /// the *final* outcome of every access binding — success, or failure after
   /// retry exhaustion / breaker trip / open-breaker short-circuit / failed
@@ -144,9 +132,9 @@ struct ExecutionResult {
 /// in first-appearance order and dispatched as one TryAccessBatch call per
 /// access command (per-binding retries continue individually); with a
 /// circuit breaker armed the executor degrades to per-binding dispatch so
-/// an opened breaker keeps later bindings away from the source. If
-/// `final_env` is non-null it receives the temporary-table environment
-/// (useful in tests).
+/// an opened breaker keeps later bindings away from the source. One call
+/// runs entirely on the calling thread (DESIGN.md §9). If `final_env` is
+/// non-null it receives the temporary-table environment (useful in tests).
 Result<ExecutionResult> ExecutePlan(const Plan& plan, AccessSource& source,
                                     const ExecutionOptions& options,
                                     TableEnv* final_env = nullptr);

@@ -63,8 +63,6 @@ QueryService::QueryService(const AccessibleSchema* accessible,
   options_.search.budget = nullptr;
   options_.search.parallelism =
       options_.planner_parallelism < 1 ? 1 : options_.planner_parallelism;
-  options_.execution.exec_parallelism =
-      options_.exec_parallelism < 1 ? 1 : options_.exec_parallelism;
   if (options_.search.parallelism > 1) {
     // Unsupported under parallel search; dropping it here beats failing
     // every request with kInvalidArgument.
@@ -266,11 +264,6 @@ ServiceStats QueryService::SnapshotStats() const {
   s.executions = executions_.load(std::memory_order_relaxed);
   s.access_batches = access_batches_.load(std::memory_order_relaxed);
   s.access_bindings = access_bindings_.load(std::memory_order_relaxed);
-  s.exec_morsels = exec_morsels_.load(std::memory_order_relaxed);
-  s.exec_build_partitions =
-      exec_build_partitions_.load(std::memory_order_relaxed);
-  s.exec_workers =
-      static_cast<uint64_t>(options_.execution.exec_parallelism);
   s.epoch_bumps = epoch_bumps_.load(std::memory_order_relaxed);
   s.plans_optimized = plans_optimized_.load(std::memory_order_relaxed);
   s.optimizer_commands_removed =
@@ -779,11 +772,6 @@ QueryResponse QueryService::Serve(const Job& job, AccessSource* source) {
                                       std::memory_order_relaxed);
             access_bindings_.fetch_add(response.execution.exec.access_bindings,
                                        std::memory_order_relaxed);
-            exec_morsels_.fetch_add(response.execution.exec.morsels,
-                                    std::memory_order_relaxed);
-            exec_build_partitions_.fetch_add(
-                response.execution.exec.parallel_build_partitions,
-                std::memory_order_relaxed);
             break;
           }
           // Failover (DESIGN.md §10): at most one in-request re-plan, only

@@ -67,12 +67,6 @@ struct ServiceOptions {
   /// count. Values < 1 are treated as 1. When > 1, the exploration log is
   /// disabled on the search template (unsupported under parallel search).
   int planner_parallelism = 1;
-  /// Execution workers per request (ExecutionOptions::exec_parallelism);
-  /// overrides `execution.exec_parallelism`. The total execution thread
-  /// count is num_workers * exec_parallelism — keep the product near the
-  /// core count. Values < 1 are treated as 1 (the historic single-threaded
-  /// engine, byte-identical results either way; see DESIGN.md §13).
-  int exec_parallelism = 1;
   /// Template for every execution. Its `clock` is overridden by `clock`
   /// below when null. `execution.engine` selects the execution engine for
   /// all requests: kVectorized (columnar batches, the default) or
@@ -226,13 +220,6 @@ struct ServiceStats {
   /// bindings carried by them.
   uint64_t access_batches = 0;
   uint64_t access_bindings = 0;
-  /// Morsel-parallel execution totals (DESIGN.md §13): cache-sized morsels
-  /// launched and hash-build partitions filled across executions. Zero
-  /// under exec_parallelism=1.
-  uint64_t exec_morsels = 0;
-  uint64_t exec_build_partitions = 0;
-  /// Execution workers per request (the configured exec_parallelism).
-  uint64_t exec_workers = 0;
   uint64_t epoch_bumps = 0;
   uint64_t queue_depth_high_water = 0;  ///< Deepest queue ever observed.
   /// Source-health and failover counters (zero when failover is disabled).
@@ -510,8 +497,6 @@ class QueryService {
   std::atomic<uint64_t> executions_{0};
   std::atomic<uint64_t> access_batches_{0};
   std::atomic<uint64_t> access_bindings_{0};
-  std::atomic<uint64_t> exec_morsels_{0};
-  std::atomic<uint64_t> exec_build_partitions_{0};
   std::atomic<uint64_t> epoch_bumps_{0};
   std::atomic<uint64_t> plans_optimized_{0};
   std::atomic<uint64_t> optimizer_commands_removed_{0};

@@ -1,7 +1,7 @@
-// Shared scenario machinery for the execution differential suites
-// (exec_vectorized_test.cc, exec_parallel_test.cc): a seeded generator of
-// always-valid schema/instance/plan triples, the stress-iteration knob, and
-// the bit-identical result assertion.
+// Scenario machinery for the execution differential suite
+// (exec_vectorized_test.cc): a seeded generator of always-valid
+// schema/instance/plan triples, the stress-iteration knob, and the
+// bit-identical result assertion.
 
 #ifndef LCP_TESTS_EXEC_SCENARIO_H_
 #define LCP_TESTS_EXEC_SCENARIO_H_

@@ -4,14 +4,14 @@
 // same completeness/degradation accounting, and the same statuses — both
 // against a plain simulated source and under seeded fault injection.
 // LCP_EXEC_STRESS_ITERS scales the number of seeds (CI stress job).
-// Scenario machinery lives in exec_scenario.h, shared with
-// exec_parallel_test.cc.
+// Scenario machinery lives in exec_scenario.h.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "exec_scenario.h"
+#include "lcp/base/budget.h"
 #include "lcp/base/clock.h"
 #include "lcp/runtime/executor.h"
 #include "lcp/runtime/faults.h"
@@ -208,6 +208,65 @@ TEST(ExecVectorizedTest, ExecStatsAreReported) {
   EXPECT_GT(result->exec.batches, 0u);
   EXPECT_GT(result->exec.probe_hits, 0u);
   EXPECT_GT(result->exec.rows_out, 0u);
+}
+
+TEST(ExecVectorizedTest, PreCancelledTokenAbortsIdentically) {
+  // Cancellation is checked between commands; a token that is already
+  // tripped must abort both engines with the same status before any
+  // access, never a partial ok result.
+  Schema schema;
+  RelationId r = schema.AddRelation("R", 2).value();
+  RelationId s = schema.AddRelation("S", 2).value();
+  schema.AddAccessMethod("mt_r_free", r, {}, 2.0).value();
+  schema.AddAccessMethod("mt_s_by0", s, {0}, 5.0).value();
+  Instance instance(&schema);
+  for (int i = 0; i < 60; ++i) {
+    instance.AddFact(0, Tuple{Value::Int(i), Value::Int(i % 6)});
+    instance.AddFact(1, Tuple{Value::Int(i % 6), Value::Int(i % 9)});
+  }
+
+  Plan plan;
+  AccessCommand first;
+  first.method = 0;
+  first.output_table = "t0";
+  first.output_columns = {{"a", 0}, {"b", 1}};
+  plan.commands.push_back(first);
+  AccessCommand second;
+  second.method = 1;
+  second.input = RaExpr::Project(RaExpr::TempScan("t0"), {"b"});
+  second.input_binding = {{"b", 0}};
+  second.output_table = "t1";
+  second.output_columns = {{"b", 0}, {"c", 1}};
+  plan.commands.push_back(second);
+  plan.commands.push_back(QueryCommand{
+      "t2", RaExpr::Join(RaExpr::TempScan("t0"), RaExpr::TempScan("t1"))});
+  plan.commands.push_back(QueryCommand{
+      "t3", RaExpr::Union(RaExpr::Project(RaExpr::TempScan("t2"), {"b", "c"}),
+                          RaExpr::TempScan("t1"))});
+  plan.output_table = "t3";
+  plan.output_attrs = {"b", "c"};
+
+  CancelToken token;
+  token.Cancel(StatusCode::kCancelled);
+
+  auto run = [&](ExecutionEngine engine) {
+    SimulatedSource source(&schema, &instance);
+    ExecutionOptions opts;
+    opts.engine = engine;
+    opts.cancel = &token;
+    auto result = ExecutePlan(plan, source, opts);
+    EXPECT_EQ(source.total_calls(), 0u);
+    return result;
+  };
+
+  auto row = run(ExecutionEngine::kRowOracle);
+  auto vec = run(ExecutionEngine::kVectorized);
+  ASSERT_FALSE(row.ok());
+  ASSERT_FALSE(vec.ok());
+  EXPECT_EQ(row.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(vec.status().code(), row.status().code());
+  EXPECT_EQ(vec.status().message(), row.status().message());
+  EXPECT_EQ(row.status().message(), "plan execution cancelled between commands");
 }
 
 }  // namespace
