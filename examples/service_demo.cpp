@@ -187,10 +187,10 @@ int main() {
 
   // --- 7. Plan optimizer: a redundant-access plan, before and after. ------
   // The serving path optimizes every freshly-searched plan before cache
-  // admission (ServiceOptions::optimize_plans, on by default; §6 above ran
-  // it too). To see the passes at work, hand the PassManager the kind of
-  // plan a naive planner emits: the same access issued three times, a
-  // selection left hanging above a scan — then print the per-pass stats.
+  // admission (ServiceOptions::search.optimize_plans, on by default; §6
+  // above ran it too). To see the passes at work, hand the PassManager the
+  // kind of plan a naive planner emits: the same access issued three times,
+  // a selection left hanging above a scan — then print the per-pass stats.
   std::cout << "\n--- plan optimizer (DESIGN.md §11) ---\n";
   Plan wasteful;
   for (int i = 0; i < 3; ++i) {

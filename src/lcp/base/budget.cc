@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "lcp/base/check.h"
-#include "lcp/base/strings.h"
 
 namespace lcp {
 
@@ -16,78 +15,24 @@ void Budget::SetDeadline(Clock* clock, int64_t budget_micros) {
   deadline_micros_ = std::max<int64_t>(clock->NowMicros() + budget_micros, 0);
 }
 
-Status Budget::Latch(Status status, bool from_cancel) {
+Status Budget::Latch(Status status) {
   std::lock_guard<std::mutex> lock(latch_mutex_);
   if (!latched_.load(std::memory_order_relaxed)) {
-    if (from_cancel) cancelled_.store(true, std::memory_order_relaxed);
     exhaustion_ = std::move(status);
     latched_.store(true, std::memory_order_release);
   }
   return exhaustion_;
 }
 
-void Budget::Cancel(Status status) {
-  LCP_CHECK(!status.ok()) << "Budget::Cancel needs a non-OK status";
-  // Record the cancel attempt even when exhaustion latched first (the
-  // historic behavior: stats().cancelled reports the *request*).
-  cancelled_.store(true, std::memory_order_relaxed);
-  (void)Latch(std::move(status), /*from_cancel=*/true);
-}
-
-Status Budget::Evaluate() {
+Status Budget::Check() {
   if (latched_.load(std::memory_order_acquire)) return exhaustion_;
   if (cancel_token_ != nullptr && cancel_token_->cancelled()) {
-    return Latch(Status(cancel_token_->code(), "budget cancelled via token"),
-                 /*from_cancel=*/true);
+    return Latch(Status(cancel_token_->code(), "budget cancelled via token"));
   }
-  if (node_cap_ >= 0 &&
-      nodes_charged_.load(std::memory_order_relaxed) > node_cap_) {
-    node_cap_hit_.store(true, std::memory_order_relaxed);
-    return Latch(ResourceExhaustedError(
-                     StrCat("budget node cap of ", node_cap_, " exceeded")),
-                 /*from_cancel=*/false);
-  }
-  if (firing_cap_ >= 0 &&
-      firings_charged_.load(std::memory_order_relaxed) > firing_cap_) {
-    firing_cap_hit_.store(true, std::memory_order_relaxed);
-    return Latch(
-        ResourceExhaustedError(
-            StrCat("budget firing cap of ", firing_cap_, " exceeded")),
-        /*from_cancel=*/false);
-  }
-  if (deadline_micros_ >= 0) {
-    deadline_checks_.fetch_add(1, std::memory_order_relaxed);
-    if (clock_->NowMicros() >= deadline_micros_) {
-      deadline_hit_.store(true, std::memory_order_relaxed);
-      return Latch(DeadlineExceededError("budget deadline exceeded"),
-                   /*from_cancel=*/false);
-    }
+  if (deadline_micros_ >= 0 && clock_->NowMicros() >= deadline_micros_) {
+    return Latch(DeadlineExceededError("budget deadline exceeded"));
   }
   return Status::Ok();
-}
-
-Status Budget::ChargeNode() {
-  nodes_charged_.fetch_add(1, std::memory_order_relaxed);
-  return Evaluate();
-}
-
-Status Budget::ChargeFiring() {
-  firings_charged_.fetch_add(1, std::memory_order_relaxed);
-  return Evaluate();
-}
-
-Status Budget::Check() { return Evaluate(); }
-
-BudgetStats Budget::stats() const {
-  BudgetStats snapshot;
-  snapshot.nodes_charged = nodes_charged_.load(std::memory_order_relaxed);
-  snapshot.firings_charged = firings_charged_.load(std::memory_order_relaxed);
-  snapshot.deadline_checks = deadline_checks_.load(std::memory_order_relaxed);
-  snapshot.deadline_hit = deadline_hit_.load(std::memory_order_relaxed);
-  snapshot.node_cap_hit = node_cap_hit_.load(std::memory_order_relaxed);
-  snapshot.firing_cap_hit = firing_cap_hit_.load(std::memory_order_relaxed);
-  snapshot.cancelled = cancelled_.load(std::memory_order_relaxed);
-  return snapshot;
 }
 
 }  // namespace lcp

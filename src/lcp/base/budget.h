@@ -37,43 +37,23 @@ class CancelToken {
   std::atomic<int> code_{0};
 };
 
-/// Accounting attached to a Budget. Shared across every component the budget
-/// is threaded through (ProofSearch nodes, ChaseEngine firings). Snapshots
-/// taken while charges are still in flight are internally consistent per
-/// field but not across fields.
-struct BudgetStats {
-  long long nodes_charged = 0;
-  long long firings_charged = 0;
-  long long deadline_checks = 0;
-  bool deadline_hit = false;
-  bool node_cap_hit = false;
-  bool firing_cap_hit = false;
-  bool cancelled = false;
-};
-
-/// A cooperative execution budget: an optional wall-clock deadline (on a
-/// pluggable Clock, so tests run in virtual time) plus optional caps on
-/// search nodes and chase firings. One Budget instance is shared by a whole
-/// planning episode — the proof search and every chase closure it runs
-/// charge against the same pool.
+/// A cooperative planning budget: an optional wall-clock deadline (on a
+/// pluggable Clock, so tests run in virtual time) plus an optional
+/// cross-thread CancelToken. One Budget instance is shared by a whole
+/// planning episode — the proof search and every chase closure it runs poll
+/// the same budget. Work caps live with the work: SearchOptions::max_nodes
+/// bounds search nodes and ChaseOptions::max_firings bounds chase firings.
 ///
-/// Exhaustion is *latched*: the first failing Charge*/Check call fixes the
-/// returned status, and every later call returns the same status. Callers
-/// poll at their natural cancellation points and wind down when a non-OK
-/// status appears; anytime callers (ProofSearch) convert kDeadlineExceeded
-/// into a best-effort result instead of an error.
+/// Exhaustion is *latched*: the first failing Check fixes the returned
+/// status, and every later call returns the same status. Callers poll at
+/// their natural cancellation points and wind down when a non-OK status
+/// appears; anytime callers (ProofSearch) convert kDeadlineExceeded into a
+/// best-effort result instead of an error.
 ///
-/// Thread model: Charge*/Check/Cancel and the cancel-token poll are safe
-/// from any number of concurrent threads (the parallel proof search charges
-/// one shared budget from every worker); counters are atomic and the latch
-/// is first-writer-wins. Configuration — SetDeadline, set_node_cap,
-/// set_firing_cap, set_cancel_token — must happen before the budget is
-/// shared, and exhaustion()/stats() are exact only once concurrent chargers
-/// have quiesced (e.g. after the search joined its workers). With caps and
-/// concurrent chargers, up to one in-flight charge per thread can land
-/// after the cap trips; callers that need a hard global bound check the
-/// latch before acting (ProofSearch documents an overshoot of at most its
-/// parallelism).
+/// Thread model: Check is safe from any number of concurrent threads (the
+/// parallel proof search polls one shared budget from every worker); the
+/// latch is first-writer-wins. Configuration — SetDeadline,
+/// set_cancel_token — must happen before the budget is shared.
 class Budget {
  public:
   /// Unlimited budget: every check passes.
@@ -82,28 +62,16 @@ class Budget {
   /// Arms the deadline at `clock->NowMicros() + budget_micros`. A negative
   /// budget means "already expired" (useful in tests).
   void SetDeadline(Clock* clock, int64_t budget_micros);
-  void set_node_cap(long long cap) { node_cap_ = cap; }
-  void set_firing_cap(long long cap) { firing_cap_ = cap; }
 
-  /// Cooperative cancellation: all subsequent checks fail with `status`.
-  /// Safe from any thread; the first non-OK latch (cancel or exhaustion)
-  /// wins.
-  void Cancel(Status status);
-
-  /// Attaches a cross-thread cancellation token: every Charge*/Check call
-  /// polls it, and a tripped token latches as the exhaustion status (with
-  /// the token's code). This is how another thread cancels a planning
-  /// episode in flight. Not owned; must outlive the budget's use.
+  /// Attaches a cross-thread cancellation token: every Check polls it, and a
+  /// tripped token latches as the exhaustion status (with the token's code).
+  /// This is how another thread cancels a planning episode in flight. Not
+  /// owned; must outlive the budget's use.
   void set_cancel_token(const CancelToken* token) { cancel_token_ = token; }
 
-  /// Records one search-node expansion / chase firing, then re-evaluates the
-  /// limits. Returns OK or the (latched) exhaustion status.
-  Status ChargeNode();
-  Status ChargeFiring();
-
-  /// Re-evaluates limits without charging anything. The cheap fast-path for
-  /// inner loops: when no deadline is armed and no cap was hit this is a few
-  /// atomic loads, no clock read.
+  /// Polls the cancel token and the deadline. The cheap fast path for inner
+  /// loops: when no deadline is armed this is a few atomic loads, no clock
+  /// read; once latched it reads nothing.
   Status Check();
 
   bool exhausted() const {
@@ -115,28 +83,15 @@ class Budget {
     if (latched_.load(std::memory_order_acquire)) return exhaustion_;
     return ok_;
   }
-  /// Field-consistent snapshot of the accounting counters.
-  BudgetStats stats() const;
 
  private:
-  Status Evaluate();
   /// First-writer-wins latch; returns the (possibly pre-existing) latched
   /// status.
-  Status Latch(Status status, bool from_cancel);
+  Status Latch(Status status);
 
   Clock* clock_ = nullptr;
   const CancelToken* cancel_token_ = nullptr;
   int64_t deadline_micros_ = -1;  ///< Absolute; -1 = no deadline.
-  long long node_cap_ = -1;       ///< -1 = unlimited.
-  long long firing_cap_ = -1;
-
-  std::atomic<long long> nodes_charged_{0};
-  std::atomic<long long> firings_charged_{0};
-  std::atomic<long long> deadline_checks_{0};
-  std::atomic<bool> deadline_hit_{false};
-  std::atomic<bool> node_cap_hit_{false};
-  std::atomic<bool> firing_cap_hit_{false};
-  std::atomic<bool> cancelled_{false};
 
   /// exhaustion_ is written exactly once, under latch_mutex_, before the
   /// release store to latched_; after that it is immutable, so lock-free

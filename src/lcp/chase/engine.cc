@@ -257,7 +257,7 @@ Result<ChaseStats> ChaseEngine::Run(const std::vector<CompiledTgd>& tgds,
           return stats;
         }
         if (options.budget != nullptr) {
-          Status budget_status = options.budget->ChargeFiring();
+          Status budget_status = options.budget->Check();
           if (!budget_status.ok()) {
             flush_match_stats();
             return budget_status;

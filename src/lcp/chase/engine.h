@@ -49,12 +49,12 @@ struct ChaseOptions {
   /// Trigger-enumeration strategy. Semi-naïve is the default; the naive mode
   /// stays available as a reference oracle.
   ChaseEvaluationMode evaluation_mode = ChaseEvaluationMode::kSemiNaive;
-  /// Optional shared execution budget (deadline + firing cap), checked
+  /// Optional shared planning budget (deadline + cancel token), checked
   /// cooperatively: once per firing and once per TGD pass. When the budget
-  /// exhausts mid-run, Run returns its status (kDeadlineExceeded /
-  /// kResourceExhausted) and the configuration keeps the facts derived so
-  /// far — every derived fact is sound, the closure is merely incomplete.
-  /// Not owned; null = unlimited.
+  /// exhausts mid-run, Run returns its status (kDeadlineExceeded, or the
+  /// token's code) and the configuration keeps the facts derived so far —
+  /// every derived fact is sound, the closure is merely incomplete. Not
+  /// owned; null = unlimited.
   Budget* budget = nullptr;
 };
 

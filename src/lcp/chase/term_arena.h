@@ -41,8 +41,8 @@ namespace internal {
 /// initializes only a small first chunk, while kMaxChunks chunks still
 /// reach kFirstChunk * (2^kMaxChunks - 1) ~ 2^24 elements — far above
 /// anything a single planning episode allocates (the proof search caps
-/// nodes at ~1e5 and charges every chase firing against a budget); Append
-/// checks the ceiling.
+/// nodes at ~1e5 and every chase run's firings at ChaseOptions::max_firings);
+/// Append checks the ceiling.
 template <typename T>
 class ChunkedStore {
  public:

@@ -159,12 +159,6 @@ void NoteCommand(const Command& cmd, AttrEnv& env) {
   }
 }
 
-std::string ExprKey(const RaExpr& expr) {
-  std::ostringstream os;
-  KeyExpr(os, expr);
-  return os.str();
-}
-
 std::string CommandKey(const Command& cmd) {
   std::ostringstream os;
   if (const auto* access = std::get_if<AccessCommand>(&cmd)) {

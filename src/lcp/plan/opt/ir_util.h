@@ -27,18 +27,13 @@ Result<std::vector<std::string>> InferExprAttrs(const RaExpr& expr,
 /// inference failure — passes treat such plans as untransformable).
 void NoteCommand(const Command& cmd, AttrEnv& env);
 
-/// A canonical structural serialization of an expression: two expressions
-/// with equal keys evaluate identically over the same environment. Temp
-/// table names are serialized as-is, so callers canonicalize references
-/// (SubstituteTables) before keying when they want equality modulo
-/// temp-table renaming.
-std::string ExprKey(const RaExpr& expr);
-
 /// A canonical structural serialization of a whole command, *excluding* its
 /// output table name: equal keys mean the two commands produce identical
 /// tables (same attributes, same rows) over the same environment. Binding
 /// lists and position filters are order-normalized; output columns are kept
-/// in order (they fix the output schema).
+/// in order (they fix the output schema). Temp table names are serialized
+/// as-is, so callers canonicalize references (SubstituteTables) before
+/// keying when they want equality modulo temp-table renaming.
 std::string CommandKey(const Command& cmd);
 
 /// Returns `expr` with every TempScan of a table in `renames` redirected to

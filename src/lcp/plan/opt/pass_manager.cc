@@ -18,6 +18,9 @@ namespace {
 /// cost functions are sums of doubles, so exact equality is too strict.
 constexpr double kCostEpsilon = 1e-9;
 
+/// Upper bound on fixpoint iterations; each runs every pass once.
+constexpr int kMaxFixpointIterations = 4;
+
 void Accumulate(PassStats& total, const PassStats& delta) {
   total.applications += delta.applications;
   total.commands_removed += delta.commands_removed;
@@ -52,19 +55,15 @@ std::string OptimizeStats::ToString() const {
   return os.str();
 }
 
-PassManager::PassManager(const OptimizerOptions& options) : options_(options) {
+PassManager::PassManager() {
   // Pipeline order: CSE first creates dead duplicates, pushdown shrinks
   // what survives, DCE sweeps both up, join reorder runs on the final
   // command set. The fixpoint loop catches cascades (e.g. commands made
   // identical only after their inputs were rewritten).
-  if (options_.enable_cse) passes_.push_back(std::make_unique<CsePass>());
-  if (options_.enable_pushdown) {
-    passes_.push_back(std::make_unique<PushdownPass>());
-  }
-  if (options_.enable_dce) passes_.push_back(std::make_unique<DcePass>());
-  if (options_.enable_join_reorder) {
-    passes_.push_back(std::make_unique<JoinReorderPass>());
-  }
+  passes_.push_back(std::make_unique<CsePass>());
+  passes_.push_back(std::make_unique<PushdownPass>());
+  passes_.push_back(std::make_unique<DcePass>());
+  passes_.push_back(std::make_unique<JoinReorderPass>());
 }
 
 Result<Plan> PassManager::Optimize(const Plan& plan, const Schema& schema,
@@ -87,10 +86,7 @@ Result<Plan> PassManager::Optimize(const Plan& plan, const Schema& schema,
 
   Plan current = plan;
   double current_cost = out.cost_before;
-  int max_iters = options_.max_fixpoint_iterations < 1
-                      ? 1
-                      : options_.max_fixpoint_iterations;
-  for (int iter = 0; iter < max_iters; ++iter) {
+  for (int iter = 0; iter < kMaxFixpointIterations; ++iter) {
     ++out.fixpoint_iterations;
     bool iteration_changed = false;
     for (size_t i = 0; i < passes_.size(); ++i) {

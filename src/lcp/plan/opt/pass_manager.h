@@ -14,23 +14,10 @@
 namespace lcp {
 namespace plan_opt {
 
-/// Which passes run, and how long the fixpoint loop may spin. Defaults run
-/// everything; individual passes can be switched off for debugging or A/B
-/// benchmarking.
-struct OptimizerOptions {
-  bool enable_cse = true;
-  bool enable_pushdown = true;
-  bool enable_dce = true;
-  bool enable_join_reorder = true;
-  /// Upper bound on fixpoint iterations (each iteration runs every enabled
-  /// pass once); the loop exits early when an iteration changes nothing.
-  int max_fixpoint_iterations = 4;
-};
-
 /// Aggregate result of one Optimize() call.
 struct OptimizeStats {
-  /// One entry per enabled pass, in pipeline order, counters summed across
-  /// fixpoint iterations.
+  /// One entry per pass, in pipeline order, counters summed across fixpoint
+  /// iterations.
   std::vector<PassStats> passes;
   int fixpoint_iterations = 0;
   bool changed = false;
@@ -45,23 +32,24 @@ struct OptimizeStats {
   std::string ToString() const;
 };
 
-/// Runs the pass pipeline over a plan until fixpoint. Every pass output is
-/// re-checked with ValidatePlan and re-costed under `cost`; an output that
-/// fails validation or costs more than its input is discarded (counted in
-/// PassStats::rejected), so Optimize never returns a plan that is invalid
-/// or costlier than its input. Errors only on an input plan that itself
-/// fails validation. Stateless after construction: one const PassManager
-/// is safely shared across threads.
+/// Runs the pass pipeline — CSE, pushdown, DCE, join reorder — over a plan
+/// until fixpoint, for at most four iterations (each runs every pass once;
+/// the loop exits early when an iteration changes nothing). Every pass
+/// output is re-checked with ValidatePlan and re-costed under `cost`; an
+/// output that fails validation or costs more than its input is discarded
+/// (counted in PassStats::rejected), so Optimize never returns a plan that
+/// is invalid or costlier than its input. Errors only on an input plan that
+/// itself fails validation. Stateless after construction: one const
+/// PassManager is safely shared across threads.
 class PassManager {
  public:
-  explicit PassManager(const OptimizerOptions& options = {});
+  PassManager();
 
   Result<Plan> Optimize(const Plan& plan, const Schema& schema,
                         const CostFunction& cost,
                         OptimizeStats* stats = nullptr) const;
 
  private:
-  OptimizerOptions options_;
   std::vector<std::unique_ptr<const PlanPass>> passes_;
 };
 

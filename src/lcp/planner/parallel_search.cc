@@ -78,8 +78,6 @@ class SearchDriver {
     }
     auto root_sp = std::make_shared<SearchNode>(std::move(*root));
     nodes_created_.store(1, std::memory_order_relaxed);
-    // The root counts against the node budget like any other node.
-    if (budget != nullptr) (void)budget->ChargeNode();
     Log(*root_sp, "initial");
     if (options_.prune_by_dominance) {
       Publish(root_sp, core_.SignatureOf(root_sp->config));
@@ -199,9 +197,6 @@ class SearchDriver {
       child.success = core_.CheckSuccess(child);
       auto sp = std::make_shared<SearchNode>(std::move(child));
       nodes_created_.fetch_add(1, std::memory_order_relaxed);
-      // Charge the node; every worker's Check() notices an exceeded cap
-      // before its next expansion.
-      if (budget != nullptr) (void)budget->ChargeNode();
       // Successful nodes are dominators too.
       if (options_.prune_by_dominance) Publish(sp, signature);
       if (sp->success) {

@@ -35,7 +35,7 @@ Result<SearchOutcome> ProofSearch::Run(const ConjunctiveQuery& query,
   // search failures: the literal proof-derived plan is already correct, so
   // any rejection just serves it as-is.
   SearchOutcome outcome = std::move(result).value();
-  plan_opt::PassManager manager(options.optimizer);
+  static const plan_opt::PassManager manager;
   if (outcome.best.has_value()) {
     Result<Plan> optimized = manager.Optimize(
         outcome.best->plan, accessible_->base(), *cost_, &outcome.optimize);

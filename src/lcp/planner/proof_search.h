@@ -45,7 +45,9 @@ struct SearchOptions {
   bool stop_at_first_plan = false;
   /// Record every successful plan, not just the cheapest.
   bool keep_all_plans = false;
-  /// Hard cap on created search nodes.
+  /// Hard cap on created search nodes. Reaching it makes the search
+  /// *anytime*: Run returns the best plan found so far with
+  /// SearchOutcome::exhaustion set to kResourceExhausted.
   int max_nodes = 100000;
   /// Access methods the search must not use: candidates over these methods
   /// are dropped at enumeration time, at every parallelism, so no returned
@@ -83,14 +85,14 @@ struct SearchOptions {
   ///  - Stats are coherent (merged after the workers quiesce), but
   ///    nodes_created may overshoot max_nodes by at most `parallelism`
   ///    (each worker checks the cap before, not atomically with, its next
-  ///    creation); similarly a shared Budget's node cap can be overshot by
-  ///    at most one in-flight charge per worker.
+  ///    creation).
   /// Values < 1 are treated as 1.
   int parallelism = 1;
-  /// Optional shared execution budget (wall-clock deadline + node/firing
-  /// caps). The search checks it before every expansion and threads it into
-  /// the root and per-node chase closures, so one budget bounds the whole
-  /// planning episode. Exhaustion makes the search *anytime*: Run returns
+  /// Optional shared planning budget (wall-clock deadline + cancel token).
+  /// The search checks it before every expansion and threads it into the
+  /// root and per-node chase closures (overriding root_chase.budget and
+  /// closure_chase.budget), so one budget bounds the whole planning
+  /// episode. Exhaustion makes the search *anytime*: Run returns
   /// the best plan found so far with SearchOutcome::exhaustion set instead
   /// of failing. A CancelToken attached to the budget makes the episode
   /// cancellable from another thread through the same poll points (the
@@ -106,11 +108,9 @@ struct SearchOptions {
   /// guaranteed not to raise cost. `best->cost` is re-evaluated afterwards,
   /// so it can only drop. Off by default — proof-generated plans are often
   /// already minimal and differential harnesses may want the literal plan;
-  /// the QueryService turns it on so cached plans are optimized once and
-  /// served many times.
+  /// the QueryService's default template turns it on so cached plans are
+  /// optimized once and served many times.
   bool optimize_plans = false;
-  /// Pass selection and fixpoint bound when optimize_plans is set.
-  plan_opt::OptimizerOptions optimizer;
 };
 
 struct SearchStats {
@@ -142,9 +142,10 @@ struct SearchOutcome {
   plan_opt::OptimizeStats optimize;
   /// Why the search stopped early, if it did (the anytime contract). OK
   /// means the proof space was exhausted and `best` is optimal within the
-  /// access budget; kDeadlineExceeded / kResourceExhausted mean the time or
-  /// node/firing budget ran out and `best` is only the cheapest plan found
-  /// *so far* (possibly absent).
+  /// access budget; kDeadlineExceeded / kResourceExhausted mean the
+  /// deadline or max_nodes ran out (a cancel token's code means the episode
+  /// was cancelled) and `best` is only the cheapest plan found *so far*
+  /// (possibly absent).
   Status exhaustion;
 };
 

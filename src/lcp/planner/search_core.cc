@@ -19,13 +19,9 @@ SearchCore::SearchCore(const AccessibleSchema& acc, const CostFunction& cost,
       root_chase_(options.root_chase),
       closure_chase_(options.closure_chase) {
   // One budget bounds the whole episode: the search loop and every chase
-  // closure it runs charge against the same pool.
-  if (options.budget != nullptr) {
-    if (root_chase_.budget == nullptr) root_chase_.budget = options.budget;
-    if (closure_chase_.budget == nullptr) {
-      closure_chase_.budget = options.budget;
-    }
-  }
+  // closure it runs poll the same deadline and cancel token.
+  root_chase_.budget = options.budget;
+  closure_chase_.budget = options.budget;
 }
 
 Result<SearchNode> SearchCore::InitRoot(ChaseEngine& engine,

@@ -81,7 +81,7 @@ class SearchCore {
   /// under the original constraints, schema/query constants marked
   /// accessible, the global candidate list, and the compiled InferredAccQ /
   /// inferred-constraint patterns. Call exactly once, before any workers
-  /// start. Does not charge the budget — the driver owns node accounting.
+  /// start. Does not count the node — the driver owns node accounting.
   Result<SearchNode> InitRoot(ChaseEngine& engine, SearchStats& stats);
 
   /// Advances node.cursor past removed and non-fireable candidates; returns

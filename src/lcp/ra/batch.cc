@@ -150,15 +150,4 @@ Table ColumnBatch::ToTable(const TermPool& pool) const {
   return table;
 }
 
-ColumnBatch ColumnBatch::FromTable(const Table& table, TermPool& pool) {
-  std::vector<std::vector<TermCode>> columns(table.attrs().size());
-  for (auto& col : columns) col.reserve(table.size());
-  for (const Tuple& row : table.rows()) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      columns[c].push_back(pool.Intern(row[c]));
-    }
-  }
-  return FromDense(table.attrs(), std::move(columns), table.size());
-}
-
 }  // namespace lcp

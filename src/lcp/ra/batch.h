@@ -101,9 +101,6 @@ class ColumnBatch {
   /// the planner/service world). Live rows only, in live order.
   Table ToTable(const TermPool& pool) const;
 
-  /// Encodes a row Table (already duplicate-free) into a dense batch.
-  static ColumnBatch FromTable(const Table& table, TermPool& pool);
-
  private:
   std::vector<std::string> attrs_;
   std::vector<Column> columns_;

@@ -76,10 +76,13 @@ void BackoffBeforeRetry(int failed_attempt, RetryState& rs) {
 }
 
 /// One logical access (one binding) with bounded-exponential-backoff retry,
-/// circuit breaking, and deadline enforcement.
+/// circuit breaking, and plan-deadline enforcement. `batch_failure` is the
+/// transient failure of the binding's batched first attempt: the loop then
+/// resumes at attempt 2. Batched dispatch never arms a breaker.
 Result<AccessOutcome> AccessWithRetry(AccessSource& source,
                                       AccessMethodId method,
-                                      const Tuple& binding, RetryState& rs) {
+                                      const Tuple& binding, RetryState& rs,
+                                      const Status* batch_failure = nullptr) {
   const RetryPolicy& p = rs.policy;
   RetryStats& stats = rs.result->retry;
 
@@ -89,29 +92,25 @@ Result<AccessOutcome> AccessWithRetry(AccessSource& source,
                                    source.schema().access_method(method).name));
   }
 
-  int64_t access_deadline_abs = -1;
-  if (p.access_deadline_micros >= 0) {
-    access_deadline_abs = rs.clock->NowMicros() + p.access_deadline_micros;
-  }
-
-  Status last_failure;
-  for (int attempt = 1;; ++attempt) {
+  Status last_failure = batch_failure != nullptr ? *batch_failure : Status();
+  for (int attempt = batch_failure != nullptr ? 2 : 1;; ++attempt) {
+    if (attempt > 1) {
+      if (attempt > p.max_attempts) return last_failure;
+      BackoffBeforeRetry(attempt - 1, rs);
+    }
     if (rs.cancel != nullptr && rs.cancel->cancelled()) {
       return Status(rs.cancel->code(),
                     StrCat("execution cancelled before attempt ", attempt,
                            " of access to ",
                            source.schema().access_method(method).name));
     }
-    if (rs.plan_deadline_abs >= 0 || access_deadline_abs >= 0) {
-      const int64_t now = rs.clock->NowMicros();
-      if ((rs.plan_deadline_abs >= 0 && now >= rs.plan_deadline_abs) ||
-          (access_deadline_abs >= 0 && now >= access_deadline_abs)) {
-        ++stats.deadline_abandons;
-        return DeadlineExceededError(
-            StrCat("deadline expired before attempt ", attempt,
-                   " of access to ",
-                   source.schema().access_method(method).name));
-      }
+    if (rs.plan_deadline_abs >= 0 &&
+        rs.clock->NowMicros() >= rs.plan_deadline_abs) {
+      ++stats.deadline_abandons;
+      return DeadlineExceededError(
+          StrCat("deadline expired before attempt ", attempt,
+                 " of access to ",
+                 source.schema().access_method(method).name));
     }
 
     ++stats.attempts;
@@ -137,59 +136,6 @@ Result<AccessOutcome> AccessWithRetry(AccessSource& source,
                  rs.consecutive_failures[method],
                  " consecutive failures; last: ", last_failure.message()));
     }
-    if (attempt >= p.max_attempts) return last_failure;
-    BackoffBeforeRetry(attempt, rs);
-  }
-}
-
-/// Continues the retry loop for a binding whose *batched* first attempt
-/// failed transiently: attempts 2..max_attempts with the usual backoff and
-/// per-attempt cancel/deadline gates. Only used on the batched dispatch
-/// path, where no breaker is armed.
-Result<AccessOutcome> ResumeRetriesAfterBatchFailure(AccessSource& source,
-                                                     AccessMethodId method,
-                                                     const Tuple& binding,
-                                                     Status last_failure,
-                                                     RetryState& rs) {
-  const RetryPolicy& p = rs.policy;
-  RetryStats& stats = rs.result->retry;
-
-  int64_t access_deadline_abs = -1;
-  if (p.access_deadline_micros >= 0) {
-    access_deadline_abs = rs.clock->NowMicros() + p.access_deadline_micros;
-  }
-
-  for (int failed_attempt = 1;; ++failed_attempt) {
-    if (failed_attempt >= p.max_attempts) return last_failure;
-    BackoffBeforeRetry(failed_attempt, rs);
-
-    const int attempt = failed_attempt + 1;
-    if (rs.cancel != nullptr && rs.cancel->cancelled()) {
-      return Status(rs.cancel->code(),
-                    StrCat("execution cancelled before attempt ", attempt,
-                           " of access to ",
-                           source.schema().access_method(method).name));
-    }
-    if (rs.plan_deadline_abs >= 0 || access_deadline_abs >= 0) {
-      const int64_t now = rs.clock->NowMicros();
-      if ((rs.plan_deadline_abs >= 0 && now >= rs.plan_deadline_abs) ||
-          (access_deadline_abs >= 0 && now >= access_deadline_abs)) {
-        ++stats.deadline_abandons;
-        return DeadlineExceededError(
-            StrCat("deadline expired before attempt ", attempt,
-                   " of access to ",
-                   source.schema().access_method(method).name));
-      }
-    }
-
-    ++stats.attempts;
-    Result<AccessOutcome> outcome = source.TryAccess(method, binding);
-    if (outcome.ok()) return outcome;
-    if (outcome.status().code() != StatusCode::kUnavailable) {
-      return outcome.status();
-    }
-    ++stats.failures;
-    last_failure = outcome.status();
   }
 }
 
@@ -283,17 +229,14 @@ Status DispatchBindings(AccessSource& source, AccessMethodId method,
                            source.schema().access_method(method).name));
     }
     ++stats.attempts;
-    if (rs.plan_deadline_abs >= 0 || rs.policy.access_deadline_micros == 0) {
-      const int64_t now = rs.clock->NowMicros();
-      if ((rs.plan_deadline_abs >= 0 && now >= rs.plan_deadline_abs) ||
-          rs.policy.access_deadline_micros == 0) {
-        ++stats.deadline_abandons;
-        Status expired = DeadlineExceededError(
-            StrCat("deadline expired consuming batched access to ",
-                   source.schema().access_method(method).name));
-        if (DegradeOrFail(expired, rs)) continue;
-        return expired;
-      }
+    if (rs.plan_deadline_abs >= 0 &&
+        rs.clock->NowMicros() >= rs.plan_deadline_abs) {
+      ++stats.deadline_abandons;
+      Status expired = DeadlineExceededError(
+          StrCat("deadline expired consuming batched access to ",
+                 source.schema().access_method(method).name));
+      if (DegradeOrFail(expired, rs)) continue;
+      return expired;
     }
     if (entry.status.ok()) {
       ReportBindingOutcome(method, bindings[i], entry.status, rs);
@@ -307,8 +250,8 @@ Status DispatchBindings(AccessSource& source, AccessMethodId method,
       return entry.status;
     }
     ++stats.failures;
-    Result<AccessOutcome> retried = ResumeRetriesAfterBatchFailure(
-        source, method, bindings[i], entry.status, rs);
+    Result<AccessOutcome> retried =
+        AccessWithRetry(source, method, bindings[i], rs, &entry.status);
     ReportBindingOutcome(method, bindings[i], retried.status(), rs);
     if (!retried.ok()) {
       if (DegradeOrFail(retried.status(), rs)) continue;

@@ -32,10 +32,8 @@ struct RetryPolicy {
   /// [1 - jitter_fraction, 1] using a PRNG seeded with jitter_seed.
   double jitter_fraction = 0.0;
   uint64_t jitter_seed = 0;
-  /// Deadline for one logical access (all retries of one binding), and for
-  /// the whole plan. -1 = unlimited. Expiry surfaces kDeadlineExceeded (or a
-  /// degraded result in best-effort mode).
-  int64_t access_deadline_micros = -1;
+  /// Deadline for the whole plan. -1 = unlimited. Expiry surfaces
+  /// kDeadlineExceeded (or a degraded result in best-effort mode).
   int64_t plan_deadline_micros = -1;
   /// Circuit breaker: after this many *consecutive* failed attempts on one
   /// method, the breaker for that method opens and further accesses to it
@@ -96,10 +94,10 @@ struct ExecutionOptions {
   /// Source-health feedback (DESIGN.md §10): when set, the executor reports
   /// the *final* outcome of every access binding — success, or failure after
   /// retry exhaustion / breaker trip / open-breaker short-circuit / failed
-  /// batch entry — so the registry's EWMA and quarantine state machine run
-  /// off real executor observations. Deadline expiries and cancellations are
-  /// not reported: they say the caller ran out of patience, not that the
-  /// source is sick. Not owned; null = no tracking (the historic default).
+  /// batch entry — so the registry's quarantine state machine runs off real
+  /// executor observations. Deadline expiries and cancellations are not
+  /// reported: they say the caller ran out of patience, not that the source
+  /// is sick. Not owned; null = no tracking (the historic default).
   SourceHealthRegistry* health = nullptr;
 };
 

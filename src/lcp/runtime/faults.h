@@ -85,7 +85,6 @@ class FaultInjectingSource : public AccessSource {
   const Schema& schema() const override { return base_->schema(); }
   SimulatedSource& base() { return *base_; }
   const FaultStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = FaultStats{}; }
 
   // --- outage schedule -----------------------------------------------------
   // Deterministic mid-run outages on the pluggable clock: an outage can

@@ -7,20 +7,6 @@
 
 namespace lcp {
 
-const char* MethodHealthName(MethodHealth health) {
-  switch (health) {
-    case MethodHealth::kHealthy:
-      return "healthy";
-    case MethodHealth::kDegraded:
-      return "degraded";
-    case MethodHealth::kQuarantined:
-      return "quarantined";
-    case MethodHealth::kProbing:
-      return "probing";
-  }
-  return "unknown";
-}
-
 SourceHealthRegistry::SourceHealthRegistry(const Schema* schema,
                                            HealthOptions options)
     : schema_(schema),
@@ -31,9 +17,6 @@ SourceHealthRegistry::SourceHealthRegistry(const Schema* schema,
       quarantined_(static_cast<size_t>(schema->num_access_methods())) {
   LCP_CHECK(schema != nullptr);
   for (auto& flag : quarantined_) flag.store(0, std::memory_order_relaxed);
-  if (options_.ewma_alpha <= 0 || options_.ewma_alpha > 1) {
-    options_.ewma_alpha = 0.3;
-  }
   if (options_.quarantine_after_consecutive < 1) {
     options_.quarantine_after_consecutive = 1;
   }
@@ -66,8 +49,8 @@ void SourceHealthRegistry::Quarantine(size_t index, MethodState& s,
   quarantined_[index].store(1, std::memory_order_release);
   quarantines_.fetch_add(1, std::memory_order_relaxed);
   // A probe failure keeps the method excluded (probing methods stay out of
-  // plans); only a fresh healthy/degraded -> quarantined transition changes
-  // the mask.
+  // plans); only a fresh healthy -> quarantined transition changes the
+  // mask.
   if (!was_excluded) BumpEpoch();
 }
 
@@ -78,23 +61,16 @@ void SourceHealthRegistry::RecordSuccess(AccessMethodId method) {
   MethodState& s = states_[index];
   ++s.successes;
   s.consecutive_failures = 0;
-  s.ewma *= 1.0 - options_.ewma_alpha;
   switch (s.state) {
     case MethodHealth::kProbing:
-      // Probe answered: the source is back. Reset the failure memory so the
+      // Probe answered: the source is back. Reset the backoff window so the
       // next wobble starts from a clean slate, re-admit the method, and
       // advance the epoch so stale detour plans fall out of the cache.
       s.state = MethodHealth::kHealthy;
-      s.ewma = 0.0;
       s.window_micros = 0;
       quarantined_[index].store(0, std::memory_order_release);
       recoveries_.fetch_add(1, std::memory_order_relaxed);
       BumpEpoch();
-      break;
-    case MethodHealth::kDegraded:
-      if (s.ewma < options_.degraded_threshold) {
-        s.state = MethodHealth::kHealthy;
-      }
       break;
     case MethodHealth::kQuarantined:
       // A straggler success from a request planned before the quarantine —
@@ -113,7 +89,6 @@ void SourceHealthRegistry::RecordFailure(AccessMethodId method,
   MethodState& s = states_[index];
   ++s.failures;
   ++s.consecutive_failures;
-  s.ewma = s.ewma * (1.0 - options_.ewma_alpha) + options_.ewma_alpha;
   s.probe_binding = binding;
   switch (s.state) {
     case MethodHealth::kProbing:
@@ -122,11 +97,8 @@ void SourceHealthRegistry::RecordFailure(AccessMethodId method,
       Quarantine(index, s, /*backoff=*/true);
       break;
     case MethodHealth::kHealthy:
-    case MethodHealth::kDegraded:
       if (s.consecutive_failures >= options_.quarantine_after_consecutive) {
         Quarantine(index, s, /*backoff=*/false);
-      } else if (s.ewma >= options_.degraded_threshold) {
-        s.state = MethodHealth::kDegraded;
       }
       break;
     case MethodHealth::kQuarantined:
@@ -178,7 +150,6 @@ MethodHealthSnapshot SourceHealthRegistry::Snapshot(
   const MethodState& s = states_[index];
   MethodHealthSnapshot snapshot;
   snapshot.state = s.state;
-  snapshot.ewma_failure_rate = s.ewma;
   snapshot.consecutive_failures = s.consecutive_failures;
   snapshot.quarantined_until = s.quarantined_until;
   snapshot.successes = s.successes;

@@ -16,28 +16,19 @@ namespace lcp {
 /// Health of one access method, as observed by the executor (see DESIGN.md
 /// §10, "Source health and failover"). The state machine:
 ///
-///   kHealthy ──(EWMA failure rate ≥ degraded_threshold)──▶ kDegraded
-///   kHealthy/kDegraded ──(consecutive failures ≥ cap)────▶ kQuarantined
+///   kHealthy ──(consecutive failures ≥ cap)──────────────▶ kQuarantined
 ///   kQuarantined ──(quarantine timer expires, one probe)─▶ kProbing
 ///   kProbing ──(probe succeeds)──────────────────────────▶ kHealthy
 ///   kProbing ──(probe fails)──(backed-off timer)─────────▶ kQuarantined
 ///
-/// Only kQuarantined methods are excluded from planning; kDegraded is an
-/// early-warning band (the method still serves, the EWMA just crossed the
-/// threshold), and kProbing admits exactly one in-flight recovery probe.
-enum class MethodHealth { kHealthy, kDegraded, kQuarantined, kProbing };
-
-const char* MethodHealthName(MethodHealth health);
+/// kQuarantined and kProbing methods are excluded from planning; kProbing
+/// admits exactly one in-flight recovery probe.
+enum class MethodHealth { kHealthy, kQuarantined, kProbing };
 
 /// Tuning knobs of the registry. Defaults quarantine after three straight
 /// failed bindings and re-probe after 100 virtual milliseconds, doubling the
 /// window on every failed probe.
 struct HealthOptions {
-  /// Weight of the newest sample in the exponentially weighted moving
-  /// average of the per-binding failure indicator (1 = fail).
-  double ewma_alpha = 0.3;
-  /// EWMA at or above this marks the method kDegraded (early warning).
-  double degraded_threshold = 0.5;
   /// Consecutive final-outcome failures that trip quarantine. Retries inside
   /// one binding do not count — only the binding's final outcome does.
   int quarantine_after_consecutive = 3;
@@ -54,7 +45,6 @@ struct HealthOptions {
 /// Point-in-time view of one method's health (see Snapshot()).
 struct MethodHealthSnapshot {
   MethodHealth state = MethodHealth::kHealthy;
-  double ewma_failure_rate = 0.0;
   int consecutive_failures = 0;
   /// Absolute clock time the quarantine window ends; meaningful only while
   /// kQuarantined.
@@ -141,7 +131,6 @@ class SourceHealthRegistry {
  private:
   struct MethodState {
     MethodHealth state = MethodHealth::kHealthy;
-    double ewma = 0.0;
     int consecutive_failures = 0;
     int64_t quarantined_until = 0;
     /// Current quarantine window; grows on failed probes, resets on

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "lcp/plan/serialize.h"
-
 namespace lcp {
 
 namespace {
@@ -12,17 +10,6 @@ size_t RoundUpToPowerOfTwo(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-/// Serialized footprint of one entry: the binary plan encoding plus the
-/// canonical key plus the snapshot frame's fixed overhead (length + CRC +
-/// epoch/cost/key-length fields, ~32 bytes). Computed once per insert —
-/// inserts happen at most once per proof search, so the encoding pass is
-/// noise next to the search it follows.
-size_t ApproxEntryBytes(const Plan& plan, const std::string& key) {
-  std::string encoded;
-  EncodePlan(plan, encoded);
-  return encoded.size() + key.size() + 32;
 }
 
 }  // namespace
@@ -55,7 +42,6 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(
         found = it->second->plan;
       } else {
         // Planned under a different schema epoch: dead weight, drop it now.
-        shard.approx_bytes -= it->second->plan->approx_bytes;
         shard.lru.erase(it->second);
         shard.map.erase(it);
         stale = true;
@@ -76,9 +62,8 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(
 std::shared_ptr<const CachedPlan> PlanCache::Insert(
     const QueryFingerprint& fingerprint, uint64_t epoch, Plan plan,
     double cost, bool detour) {
-  size_t approx_bytes = ApproxEntryBytes(plan, fingerprint.key);
-  auto entry = std::make_shared<const CachedPlan>(CachedPlan{
-      fingerprint, epoch, std::move(plan), cost, detour, approx_bytes});
+  auto entry = std::make_shared<const CachedPlan>(
+      CachedPlan{fingerprint, epoch, std::move(plan), cost, detour});
   Shard& shard = ShardFor(fingerprint);
   uint64_t evicted = 0;
   std::shared_ptr<const CachedPlan> resident;
@@ -96,17 +81,13 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
         return it->second->plan;
       }
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      shard.approx_bytes -= it->second->plan->approx_bytes;
-      shard.approx_bytes += entry->approx_bytes;
       it->second->plan = entry;
       replacements_.fetch_add(1, std::memory_order_relaxed);
       return entry;
     }
     shard.lru.push_front(Entry{entry});
     shard.map.emplace(fingerprint.key, shard.lru.begin());
-    shard.approx_bytes += entry->approx_bytes;
     while (shard.lru.size() > capacity_per_shard_) {
-      shard.approx_bytes -= shard.lru.back().plan->approx_bytes;
       shard.map.erase(shard.lru.back().plan->fingerprint.key);
       shard.lru.pop_back();
       ++evicted;
@@ -124,7 +105,6 @@ void PlanCache::EvictBelowEpoch(uint64_t epoch) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
       if (it->plan->epoch < epoch) {
-        shard->approx_bytes -= it->plan->approx_bytes;
         shard->map.erase(it->plan->fingerprint.key);
         it = shard->lru.erase(it);
         ++dropped;
@@ -162,7 +142,6 @@ PlanCacheStats PlanCache::stats() const {
     std::lock_guard<std::mutex> lock(shard->mutex);
     s.shard_entries.push_back(shard->lru.size());
     s.entries += shard->lru.size();
-    s.approx_bytes += shard->approx_bytes;
   }
   return s;
 }

@@ -34,11 +34,6 @@ struct CachedPlan {
   /// are marked degraded: a cheaper primary plan may exist once the outage
   /// heals (the epoch bump on recovery makes this entry unreachable then).
   bool detour = false;
-  /// Approximate resident/persisted footprint of this entry: the binary plan
-  /// encoding plus the canonical key plus fixed framing overhead, computed
-  /// once at insertion. Powers PlanCacheStats::approx_bytes, which sizes
-  /// snapshots before they are written.
-  size_t approx_bytes = 0;
 };
 
 /// Point-in-time counter snapshot. All counters are cumulative since
@@ -54,11 +49,8 @@ struct PlanCacheStats {
   uint64_t evictions = 0;          ///< LRU capacity evictions.
   uint64_t invalidations = 0;      ///< Entries dropped by EvictBelowEpoch.
   /// Occupancy gauges (unlike the counters above, these take each shard's
-  /// mutex briefly — stats() is an ops/test probe, not a hot path). Sizing a
-  /// snapshot is the motivating consumer: `approx_bytes` is the sum of the
-  /// per-entry serialized footprints, so it predicts the snapshot file size.
-  uint64_t entries = 0;               ///< Total resident entries.
-  uint64_t approx_bytes = 0;          ///< Sum of CachedPlan::approx_bytes.
+  /// mutex briefly — stats() is an ops/test probe, not a hot path).
+  uint64_t entries = 0;                 ///< Total resident entries.
   std::vector<uint64_t> shard_entries;  ///< Resident entries per shard.
 };
 
@@ -121,8 +113,8 @@ class PlanCache {
   size_t size() const;
 
   /// Counter snapshot. Counters are read lock-free; the occupancy gauges
-  /// (entries / approx_bytes / shard_entries) take each shard's mutex
-  /// briefly, so this is an ops/test probe rather than a hot-path call.
+  /// (entries / shard_entries) take each shard's mutex briefly, so this is
+  /// an ops/test probe rather than a hot-path call.
   PlanCacheStats stats() const;
 
   /// Copies every resident entry's shared_ptr, all shards and all epochs,
@@ -143,9 +135,6 @@ class PlanCache {
     /// Front = most recently used.
     std::list<Entry> lru;
     std::unordered_map<std::string, std::list<Entry>::iterator> map;
-    /// Running sum of the resident entries' CachedPlan::approx_bytes,
-    /// maintained at insert/replace/evict under `mutex`.
-    size_t approx_bytes = 0;
   };
 
   Shard& ShardFor(const QueryFingerprint& fingerprint) {

@@ -59,23 +59,16 @@ QueryService::QueryService(const AccessibleSchema* accessible,
       epoch_(1),
       schema_fingerprint_(SchemaFingerprint(accessible->base())) {
   // Per-request budgets are armed in Serve; a caller-supplied budget in the
-  // template would be shared across threads, which Budget forbids.
+  // template would be shared across threads, which Budget forbids. Nothing
+  // reads the exploration log, and under parallel search it would fail every
+  // request with kInvalidArgument.
   options_.search.budget = nullptr;
-  options_.search.parallelism =
-      options_.planner_parallelism < 1 ? 1 : options_.planner_parallelism;
-  if (options_.search.parallelism > 1) {
-    // Unsupported under parallel search; dropping it here beats failing
-    // every request with kInvalidArgument.
-    options_.search.collect_exploration_log = false;
-  }
-  // The service-level optimizer knobs are authoritative: cached plans are
-  // optimized once at planning time and served on every later hit.
-  options_.search.optimize_plans = options_.optimize_plans;
-  options_.search.optimizer = options_.optimizer;
-  if (options_.failover_enabled && source_factory_ != nullptr) {
+  options_.search.collect_exploration_log = false;
+  options_.execution.clock = clock_;
+  if (source_factory_ != nullptr) {
     // Plan-only services get no registry: with no executor feedback there is
     // nothing to learn and no probe to send.
-    if (options_.health.clock == nullptr) options_.health.clock = clock_;
+    options_.health.clock = clock_;
     health_ = std::make_unique<SourceHealthRegistry>(&accessible_->base(),
                                                      options_.health);
   }
@@ -742,7 +735,6 @@ QueryResponse QueryService::Serve(const Job& job, AccessSource* source) {
       } else {
         for (int attempt = 0;; ++attempt) {
           ExecutionOptions exec_options = options_.execution;
-          if (exec_options.clock == nullptr) exec_options.clock = clock_;
           exec_options.cancel = job.cancel.get();
           if (health_ != nullptr) exec_options.health = health_.get();
           if (job.deadline_at >= 0) {

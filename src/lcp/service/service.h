@@ -53,22 +53,29 @@ enum class ShutdownMode {
 
 /// Construction-time knobs of a QueryService.
 struct ServiceOptions {
+  /// The default search template optimizes plans (see `search`).
+  ServiceOptions() { search.optimize_plans = true; }
+
   /// Fixed worker pool size; at least 1.
   int num_workers = 4;
   PlanCache::Options cache;
   /// Set false to plan every request from scratch (benchmark baseline).
   bool cache_enabled = true;
-  /// Template for every planning episode. Its `budget` pointer is ignored:
-  /// budgets are per-request (see planning_budget_micros).
+  /// Template for every planning episode, used as given except that
+  /// `budget` is per-request (see planning_budget_micros) and
+  /// `collect_exploration_log` is always off (the service never reads it).
+  ///  - `search.parallelism` is the proof-search workers per episode: the
+  ///    total planning thread count is num_workers * search.parallelism, so
+  ///    keep the product near the core count.
+  ///  - `search.optimize_plans`, on by default here, runs the plan-IR
+  ///    optimizer (plan/opt/, DESIGN.md §11) on every freshly planned query
+  ///    before cache admission, so warm hits serve pre-optimized plans and
+  ///    admission sees the optimized cost. It is validated per pass, can
+  ///    only lower cost, and its one-time latency is amortized over every
+  ///    hit.
   SearchOptions search;
-  /// Proof-search workers per planning episode (SearchOptions::parallelism);
-  /// overrides `search.parallelism`. The total planning thread count is
-  /// num_workers * planner_parallelism — keep the product near the core
-  /// count. Values < 1 are treated as 1. When > 1, the exploration log is
-  /// disabled on the search template (unsupported under parallel search).
-  int planner_parallelism = 1;
-  /// Template for every execution. Its `clock` is overridden by `clock`
-  /// below when null. `execution.engine` selects the execution engine for
+  /// Template for every execution. Its `clock` is always the service clock
+  /// (`clock` below). `execution.engine` selects the execution engine for
   /// all requests: kVectorized (columnar batches, the default) or
   /// kRowOracle (tuple-at-a-time differential oracle) — both are
   /// bit-identical in results and statuses, so the knob only trades speed.
@@ -88,27 +95,14 @@ struct ServiceOptions {
   /// Clock for latency accounting, budgets, and execution backoff;
   /// null = process SystemClock.
   Clock* clock = nullptr;
-  /// Source-health tracking and alternate-plan failover (DESIGN.md §10).
-  /// When true (and the service executes — a source factory was given), the
-  /// service maintains a SourceHealthRegistry fed by executor outcomes,
-  /// plans around quarantined access methods, re-plans once in-request when
-  /// an execution fails with kUnavailable, and replays recovery probes when
-  /// quarantine windows expire. False = the historic behavior: failures
-  /// surface directly and every request plans over the full method set.
-  bool failover_enabled = true;
-  /// Knobs of the health registry (EWMA smoothing, quarantine thresholds and
-  /// windows). `health.clock` defaults to the service clock when null.
+  /// Knobs of the source-health registry (quarantine threshold and
+  /// windows; DESIGN.md §10). Whenever the service executes — a source
+  /// factory was given — it maintains a SourceHealthRegistry fed by
+  /// executor outcomes, plans around quarantined access methods, re-plans
+  /// once in-request when an execution fails with kUnavailable, and replays
+  /// recovery probes when quarantine windows expire. `health.clock` is
+  /// always the service clock.
   HealthOptions health;
-  /// Run the plan-IR optimizer pipeline (plan/opt/, DESIGN.md §11) on every
-  /// freshly planned query before cache admission, so warm hits serve
-  /// pre-optimized plans and the admission decision sees the optimized cost.
-  /// On by default: optimization is validated per pass, can only lower cost,
-  /// and its one-time latency is amortized over every hit. Overrides
-  /// `search.optimize_plans`.
-  bool optimize_plans = true;
-  /// Pass selection and fixpoint bound when optimize_plans is set
-  /// (overrides `search.optimizer`).
-  plan_opt::OptimizerOptions optimizer;
   /// Crash-safe warm restarts (DESIGN.md §12): when non-empty (and the cache
   /// is enabled), the service loads a plan-cache snapshot from this path at
   /// construction — every loaded plan is CRC-checked, defensively decoded,
@@ -207,7 +201,7 @@ struct ServiceStats {
   uint64_t searches = 0;       ///< Proof searches actually run.
   uint64_t executions = 0;
   /// Plan-IR optimizer totals over freshly planned queries (zero when
-  /// ServiceOptions::optimize_plans is off).
+  /// ServiceOptions::search.optimize_plans is off).
   uint64_t plans_optimized = 0;             ///< Optimizer runs that changed the plan.
   uint64_t optimizer_commands_removed = 0;  ///< Commands eliminated in total.
   uint64_t optimizer_access_commands_removed = 0;
@@ -222,7 +216,7 @@ struct ServiceStats {
   uint64_t access_bindings = 0;
   uint64_t epoch_bumps = 0;
   uint64_t queue_depth_high_water = 0;  ///< Deepest queue ever observed.
-  /// Source-health and failover counters (zero when failover is disabled).
+  /// Source-health and failover counters (zero for a plan-only service).
   uint64_t failovers = 0;           ///< In-request re-plans after kUnavailable.
   uint64_t degraded_responses = 0;  ///< OK responses served by detour plans.
   uint64_t quarantines = 0;         ///< Methods entering quarantine (cumulative).
@@ -367,9 +361,8 @@ class QueryService {
 
   const PlanCache& cache() const { return cache_; }
 
-  /// The source-health registry, or null when failover is disabled or the
-  /// service is plan-only. Exposed for tests and ops probes; the registry is
-  /// thread-safe.
+  /// The source-health registry, or null when the service is plan-only.
+  /// Exposed for tests and ops probes; the registry is thread-safe.
   const SourceHealthRegistry* health() const { return health_.get(); }
 
   /// Stops accepting requests and joins the workers. kDrain (default)
@@ -462,8 +455,8 @@ class QueryService {
   Clock* clock_;
   ProofSearch search_;
   PlanCache cache_;
-  /// Null when failover is disabled or no source factory was given (plan-only
-  /// services have no executor feedback to learn from).
+  /// Null when no source factory was given (plan-only services have no
+  /// executor feedback to learn from).
   std::unique_ptr<SourceHealthRegistry> health_;
   RequestCoalescer coalescer_;
 

@@ -1,7 +1,7 @@
 // Tests for the source-health registry (DESIGN.md §10): the per-method state
-// machine (healthy -> degraded -> quarantined -> probing -> healthy), the
-// availability epoch that keys the plan cache, the exclusion mask the planner
-// consumes, and the registry's thread-safety contract.
+// machine (healthy -> quarantined -> probing -> healthy), the availability
+// epoch that keys the plan cache, the exclusion mask the planner consumes,
+// and the registry's thread-safety contract.
 
 #include "lcp/runtime/health.h"
 
@@ -50,29 +50,6 @@ TEST(SourceHealthRegistryTest, StartsHealthyWithEmptyMask) {
     EXPECT_FALSE(registry.IsQuarantined(m));
     EXPECT_EQ(registry.Snapshot(m).state, MethodHealth::kHealthy);
   }
-}
-
-TEST(SourceHealthRegistryTest, EwmaFailuresDegradeBeforeQuarantine) {
-  Schema schema = MakeSchema();
-  SharedVirtualClock clock;
-  HealthOptions options = FastOptions(&clock);
-  options.quarantine_after_consecutive = 10;  // keep quarantine out of reach
-  SourceHealthRegistry registry(&schema, options);
-
-  // Default alpha 0.3, threshold 0.5: two straight failures push the EWMA to
-  // 0.51 — degraded, but still serving (not excluded from planning).
-  registry.RecordFailure(1, kBinding);
-  EXPECT_EQ(registry.Snapshot(1).state, MethodHealth::kHealthy);
-  registry.RecordFailure(1, kBinding);
-  EXPECT_EQ(registry.Snapshot(1).state, MethodHealth::kDegraded);
-  EXPECT_FALSE(registry.IsQuarantined(1));
-  EXPECT_TRUE(registry.ExcludedMethods().empty());
-  EXPECT_EQ(registry.availability_epoch(), 1u);
-
-  // Successes decay the EWMA back below the threshold: healthy again.
-  registry.RecordSuccess(1);
-  registry.RecordSuccess(1);
-  EXPECT_EQ(registry.Snapshot(1).state, MethodHealth::kHealthy);
 }
 
 TEST(SourceHealthRegistryTest, ConsecutiveFailuresQuarantineAndBumpEpoch) {
@@ -154,7 +131,6 @@ TEST(SourceHealthRegistryTest, ProbeSuccessRecoversAndBumpsEpoch) {
   EXPECT_EQ(registry.availability_epoch(), epoch + 1);
   EXPECT_EQ(registry.stats().recoveries, 1u);
   // Failure memory is reset: the next wobble starts from a clean slate.
-  EXPECT_EQ(registry.Snapshot(1).ewma_failure_rate, 0.0);
   EXPECT_EQ(registry.Snapshot(1).consecutive_failures, 0);
 }
 

@@ -161,23 +161,6 @@ TEST(ParallelSearchTest, NodeCapOvershootBoundedByParallelism) {
             options.max_nodes + options.parallelism);
 }
 
-TEST(ParallelSearchTest, BudgetNodeCapAnytime) {
-  auto scenario = MakeMultiSourceScenario(6);
-  ASSERT_TRUE(scenario.ok());
-  SearchOptions options;
-  options.parallelism = 4;
-  options.prune_by_cost = false;
-  options.prune_by_dominance = false;
-  Budget budget;
-  budget.set_node_cap(12);
-  options.budget = &budget;
-  auto outcome = RunScenario(*scenario, options);
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_EQ(outcome->exhaustion.code(), StatusCode::kResourceExhausted);
-  // At most one in-flight charge per worker can land after the cap trips.
-  EXPECT_LE(budget.stats().nodes_charged, 12 + options.parallelism);
-}
-
 TEST(ParallelSearchTest, PreExpiredDeadlineYieldsAnytimeOutcome) {
   auto scenario = MakeMultiSourceScenario(4);
   ASSERT_TRUE(scenario.ok());

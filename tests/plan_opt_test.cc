@@ -36,7 +36,6 @@ using plan_opt::CsePass;
 using plan_opt::DcePass;
 using plan_opt::JoinReorderPass;
 using plan_opt::OptimizeStats;
-using plan_opt::OptimizerOptions;
 using plan_opt::PassManager;
 using plan_opt::PassStats;
 using plan_opt::PushdownPass;
@@ -361,28 +360,6 @@ TEST(PassManagerTest, ErrorsOnInvalidInputPlan) {
   plan.output_table = "t0";
   SimpleCostFunction cost(&schema);
   EXPECT_FALSE(PassManager().Optimize(plan, schema, cost).ok());
-}
-
-TEST(PassManagerTest, DisabledPassesDoNotRun) {
-  Schema schema = MakeSchema();
-  Plan plan;
-  plan.commands.push_back(FreeAccess(0, "t0"));
-  plan.commands.push_back(FreeAccess(0, "dead"));
-  plan.output_table = "t0";
-  plan.output_attrs = {"a", "b"};
-
-  SimpleCostFunction cost(&schema);
-  OptimizerOptions options;
-  options.enable_cse = false;
-  options.enable_pushdown = false;
-  options.enable_dce = false;
-  options.enable_join_reorder = false;
-  OptimizeStats stats;
-  auto optimized = PassManager(options).Optimize(plan, schema, cost, &stats);
-  ASSERT_TRUE(optimized.ok());
-  EXPECT_FALSE(stats.changed);
-  EXPECT_TRUE(stats.passes.empty());
-  EXPECT_EQ(optimized->commands.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -727,7 +704,7 @@ TEST(PlanOptServiceTest, OptimizerStatsFlowThroughService) {
   ServiceOptions options;
   options.num_workers = 2;
   options.search.max_access_commands = 5;
-  ASSERT_TRUE(options.optimize_plans);  // default on in the serving path
+  ASSERT_TRUE(options.search.optimize_plans);  // default on when serving
   QueryService service(
       &accessible, &cost,
       [&] { return std::make_unique<SimulatedSource>(scenario.schema.get(),
@@ -751,6 +728,42 @@ TEST(PlanOptServiceTest, OptimizerStatsFlowThroughService) {
   // than one per search.
   EXPECT_LE(stats.plans_optimized, stats.searches);
   service.Shutdown();
+}
+
+TEST(PlanOptServiceTest, ServiceHonoursTheSearchTemplate) {
+  // ServiceOptions::search is the one home of the planner settings: the
+  // service plans with it as given, optimizer switch included.
+  auto scenario = MakeProfinfoScenario(/*boolean_query=*/false).value();
+  auto accessible =
+      AccessibleSchema::Build(*scenario.schema, AccessibleVariant::kStandard)
+          .value();
+  SimpleCostFunction cost(scenario.schema.get());
+  ProofSearch search(&accessible, &cost);
+  SearchOptions direct;
+  auto literal = search.Run(scenario.query, direct);
+  direct.optimize_plans = true;
+  auto optimized = search.Run(scenario.query, direct);
+  ASSERT_TRUE(literal.ok() && optimized.ok());
+  ASSERT_TRUE(literal->best.has_value() && optimized->best.has_value());
+  // Precondition: the optimizer changes this query's plan.
+  ASSERT_FALSE(literal->best->plan == optimized->best->plan);
+
+  for (const bool optimize : {false, true}) {
+    ServiceOptions options;
+    options.num_workers = 1;
+    if (!optimize) options.search.optimize_plans = false;
+    QueryService service(&accessible, &cost, nullptr, options);
+    QueryRequest request;
+    request.query = scenario.query;
+    request.execute = false;
+    QueryResponse response = service.Call(request);
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    ASSERT_NE(response.plan, nullptr);
+    const Plan& expected =
+        optimize ? optimized->best->plan : literal->best->plan;
+    EXPECT_TRUE(response.plan->plan == expected)
+        << "optimize_plans = " << optimize;
+  }
 }
 
 }  // namespace

@@ -187,7 +187,9 @@ size_t RunScenario(const ChaosWorld& world, uint64_t seed) {
   options.execution.retry.jitter_fraction = 0.5;
   options.execution.retry.jitter_seed = rng();
   if (pick(3) == 0) options.planning_budget_micros = 1000 + pick(50000);
-  options.failover_enabled = pick(4) != 0;
+  // Once the failover on/off draw; kept so every seed replays the same
+  // scenario.
+  (void)pick(4);
   options.health.quarantine_after_consecutive = 1 + pick(3);
   options.health.quarantine_micros = 1000 + pick(30000);
 
@@ -293,18 +295,15 @@ size_t RunScenario(const ChaosWorld& world, uint64_t seed) {
   EXPECT_LE(stats.probes_failed + stats.recoveries, stats.probes_sent)
       << "seed " << seed;
   EXPECT_LE(stats.degraded_responses, stats.completed) << "seed " << seed;
-  if (!options.failover_enabled) {
-    EXPECT_EQ(stats.failovers, 0u) << "seed " << seed;
-    EXPECT_EQ(stats.quarantines, 0u) << "seed " << seed;
-  }
   return handles.size();
 }
 
 /// Coalescing-focused chaos: duplicate-heavy bursts race many identical
 /// requests through the single-flight path while cancels and epoch bumps
-/// try to break coalitions mid-flight. Faults, failover, deadlines,
-/// skip_cache, and admission shedding are all disabled, so the proof-search
-/// count obeys a crisp scheduling-independent bound:
+/// try to break coalitions mid-flight. Faults (so no method is ever
+/// quarantined and nothing fails over), deadlines, skip_cache, and admission
+/// shedding are all disabled, so the proof-search count obeys a crisp
+/// scheduling-independent bound:
 ///
 ///   searches <= distinct_keys * (1 + epoch_bumps) + cancels
 ///
@@ -329,7 +328,6 @@ size_t RunCoalescingScenario(const ChaosWorld& world, uint64_t seed) {
   options.max_queue_depth = 0;  // unbounded: no shedding noise in the bound
   options.cache.num_shards = 1 + pick(4);
   options.clock = &clock;
-  options.failover_enabled = false;
 
   const Schema* schema = world.schema.get();
   const Instance* instance = world.instance.get();
