@@ -26,8 +26,10 @@ struct CardinalityEstimates {
 /// command costs method.cost × (estimated number of distinct input
 /// bindings), where input cardinalities are propagated through the
 /// middleware commands using the estimates above. Monotone in appended
-/// access commands (every command adds a positive charge), so both prunings
-/// of Algorithm 1 remain sound.
+/// access commands (every command adds a positive charge), so cost pruning
+/// stays sound. It is not additive: an access's charge depends on the join
+/// shape of the plan before it, so two orders of the same accesses can cost
+/// differently, and Algorithm 1 turns dominance pruning off under it.
 ///
 /// Under this model the Example 5 intersection plans can beat the
 /// single-directory plan: intersecting two directories first shrinks the
@@ -40,6 +42,7 @@ class CardinalityCostFunction : public CostFunction {
       : schema_(schema), estimates_(std::move(estimates)) {}
 
   double Cost(const Plan& plan) const override;
+  bool IsAdditive() const override { return false; }
 
   /// Estimated row count of each temporary table after running `plan`
   /// (exposed for tests and for explain-style output).

@@ -15,6 +15,17 @@ class CostFunction {
  public:
   virtual ~CostFunction() = default;
   virtual double Cost(const Plan& plan) const = 0;
+
+  /// The additivity contract: true when Cost(plan) is a sum, over the
+  /// plan's access commands, of a charge that depends only on the command's
+  /// method (the paper's simple cost). Then two plans that make the same
+  /// accesses in a different order cost the same, and a plan costs at least
+  /// its prefix plus the cheapest single access. Algorithm 1 relies on this
+  /// for dominance pruning, for exposing each set of accesses once (sleep
+  /// sets) and for the remaining-cost bound (DESIGN.md §8); a cost function
+  /// that returns false gets none of them. Decorators that forward to an
+  /// additive cost keep the default.
+  virtual bool IsAdditive() const { return true; }
 };
 
 /// The paper's simple cost function: each access method mt has a positive
@@ -38,7 +49,7 @@ class SimpleCostFunction : public CostFunction {
 /// A refinement used in the benchmarks: like SimpleCostFunction but each
 /// method's charge is weighted by an estimated number of per-tuple source
 /// calls (caller-provided estimated input cardinality per relation).
-/// Still monotone.
+/// Still monotone and additive.
 class WeightedAccessCostFunction : public CostFunction {
  public:
   WeightedAccessCostFunction(const Schema* schema,

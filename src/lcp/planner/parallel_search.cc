@@ -79,7 +79,7 @@ class SearchDriver {
     auto root_sp = std::make_shared<SearchNode>(std::move(*root));
     nodes_created_.store(1, std::memory_order_relaxed);
     Log(*root_sp, "initial");
-    if (options_.prune_by_dominance) {
+    if (core_.prune_by_dominance()) {
       Publish(root_sp, core_.SignatureOf(root_sp->config));
     }
     in_flight_.store(1, std::memory_order_relaxed);
@@ -182,7 +182,7 @@ class SearchDriver {
         continue;
       }
       DominanceSignature signature;
-      if (options_.prune_by_dominance) {
+      if (core_.prune_by_dominance()) {
         signature = core_.SignatureOf(child.config);
         if (store_.IsDominated(
                 signature, child.cost, child.accesses,
@@ -195,10 +195,17 @@ class SearchDriver {
         }
       }
       child.success = core_.CheckSuccess(child);
+      // A success is never bound-pruned: it is a plan, not a promise of one.
+      if (!child.success &&
+          core_.CannotBeat(child, best_cost_.load(std::memory_order_relaxed))) {
+        ++stats.pruned_cost;
+        Log(child, "pruned(cost)");
+        continue;
+      }
       auto sp = std::make_shared<SearchNode>(std::move(child));
       nodes_created_.fetch_add(1, std::memory_order_relaxed);
       // Successful nodes are dominators too.
-      if (options_.prune_by_dominance) Publish(sp, signature);
+      if (core_.prune_by_dominance()) Publish(sp, signature);
       if (sp->success) {
         ++stats.successes;
         PublishPlan(core_.MakeFoundPlan(*sp));

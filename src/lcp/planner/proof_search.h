@@ -33,12 +33,18 @@ struct SearchOptions {
   /// The threshold d: maximum number of access commands per plan.
   int max_access_commands = 6;
   /// Abort a branch whose partial plan already costs at least as much as the
-  /// best complete plan (sound for monotone cost functions).
+  /// best complete plan (sound for monotone cost functions). Under an
+  /// additive cost (CostFunction::IsAdditive) this includes the
+  /// remaining-cost bound: a branch that is not yet a plan is aborted when
+  /// its cost plus the cheapest single access reaches the best plan's.
   bool prune_by_cost = true;
   /// Abort a node dominated by an existing node: the existing configuration
   /// has "at least as many useful facts" (a homomorphism over base +
   /// InferredAcc + accessible facts, fixing the query's free-variable
-  /// constants) at no higher cost (§5, "Optimizations").
+  /// constants) at no higher cost (§5, "Optimizations"). In effect only
+  /// under an additive cost, where it also turns on sleep sets: a node never
+  /// re-exposes an access its parent expanded before it, so each set of
+  /// accesses is built in one order (DESIGN.md §8).
   bool prune_by_dominance = true;
   /// Stop at the first successful proof (plan existence check / Theorem 5
   /// mode) instead of exhausting the space.

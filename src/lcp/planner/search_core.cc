@@ -1,6 +1,7 @@
 #include "lcp/planner/search_core.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "lcp/base/strings.h"
@@ -17,7 +18,9 @@ SearchCore::SearchCore(const AccessibleSchema& acc, const CostFunction& cost,
       query_(query),
       options_(options),
       root_chase_(options.root_chase),
-      closure_chase_(options.closure_chase) {
+      closure_chase_(options.closure_chase),
+      prune_by_dominance_(options.prune_by_dominance && cost.IsAdditive()),
+      bound_by_remaining_cost_(options.prune_by_cost && cost.IsAdditive()) {
   // One budget bounds the whole episode: the search loop and every chase
   // closure it runs poll the same deadline and cancel token.
   root_chase_.budget = options.budget;
@@ -82,6 +85,24 @@ Result<SearchNode> SearchCore::InitRoot(ChaseEngine& engine,
         if (ma.cost != mb.cost) return ma.cost < mb.cost;
         return a.method < b.method;
       });
+
+  // h of the remaining-cost bound, priced by the cost function itself on
+  // one-access plans so that decorators see the same charges as the search.
+  if (bound_by_remaining_cost_ && !all_candidates_.empty()) {
+    std::vector<char> priced(excluded.size(), 0);
+    cheapest_access_ = std::numeric_limits<double>::infinity();
+    for (const Candidate& cand : all_candidates_) {
+      if (priced[cand.method]) continue;
+      priced[cand.method] = 1;
+      AccessCommand access;
+      access.method = cand.method;
+      access.output_table = "t";
+      Plan one;
+      one.commands.push_back(std::move(access));
+      one.output_table = "t";
+      cheapest_access_ = std::min(cheapest_access_, cost_.Cost(one));
+    }
+  }
 
   // Compile InferredAccQ for success detection.
   ConjunctiveQuery inferred_q = acc_.InferredAccQuery(query_);
@@ -240,6 +261,9 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
   child.id = child_id;
   child.parent = parent.id;
   child.candidate = cand_index;
+  // Sleep sets: the child inherits every access the parent has expanded,
+  // this one included.
+  if (prune_by_dominance_) child.removed = parent.removed;
   child.config = parent.config;
   child.accessible_terms = parent.accessible_terms;
   // One access, one table per induced fact, one join.

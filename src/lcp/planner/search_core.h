@@ -48,9 +48,11 @@ struct SearchNode {
   ChaseConfig config;
   /// Terms with an accessible(t) fact, ascending.
   std::vector<ChaseTermId> accessible_terms;
-  /// Candidate indexes removed at this node (Algorithm 1, line 10), as a
-  /// bitmap over all candidates (empty until the first removal). Not
-  /// inherited: children recompute candidacy from their own configuration.
+  /// Candidate indexes this node will not expose, as a bitmap over all
+  /// candidates (empty until the first removal): the accesses it has
+  /// expanded (Algorithm 1, line 10 marks every candidate with the same
+  /// method and input values). With dominance pruning in effect a child
+  /// inherits its parent's bitmap (sleep sets, DESIGN.md §8).
   std::vector<bool> removed;
   size_t cursor = 0;  ///< Next candidate index to consider.
   std::vector<Command> commands;
@@ -64,8 +66,9 @@ struct SearchNode {
 /// The scheduling-independent parts of Algorithm 1: root construction,
 /// candidate iteration, node expansion (configuration update,
 /// inferred-accessible closure, §4 proof-to-plan translation, cost), success
-/// detection, and the dominance signature and probe. Pruning *decisions* and
-/// node bookkeeping stay in the driver.
+/// detection, the dominance signature and probe, and which prunings the cost
+/// function admits (IsAdditive). Pruning *decisions* and node bookkeeping
+/// stay in the driver.
 ///
 /// Thread model: construction and InitRoot are single-threaded; afterwards
 /// every method is const and safe from concurrent workers (the arena it
@@ -98,6 +101,7 @@ class SearchCore {
 
   /// Expands `parent` on `cand_index`: removes the sibling candidates this
   /// access also covers (Algorithm 1, line 10), then builds the child —
+  /// inherited sleep set (when dominance pruning is in effect),
   /// configuration update, "fire inferred accessible rules immediately"
   /// closure, plan prefix, cost. Returns the child without making any
   /// pruning decision. Mutates only `parent` (which the caller owns) and
@@ -132,6 +136,19 @@ class SearchCore {
   /// Figure-1-style exploration-log line for `node`.
   std::string LogLine(const SearchNode& node, const std::string& status) const;
 
+  /// Whether dominance pruning, and with it sleep sets, is in effect:
+  /// requested, and sound because the cost function is additive.
+  bool prune_by_dominance() const { return prune_by_dominance_; }
+
+  /// The remaining-cost bound (f = g + h): true when `node`, which is not a
+  /// success and so needs at least one more access, costs at least
+  /// `incumbent` once the cheapest single access is added. In effect only
+  /// when prune_by_cost is set and the cost function is additive.
+  bool CannotBeat(const SearchNode& node, double incumbent) const {
+    return bound_by_remaining_cost_ &&
+           node.cost + cheapest_access_ >= incumbent;
+  }
+
   const SearchOptions& options() const { return options_; }
   const Schema& schema() const { return acc_.schema(); }
   TermArena& arena() { return arena_; }
@@ -162,6 +179,11 @@ class SearchCore {
   /// Chase options with the shared budget threaded in.
   ChaseOptions root_chase_;
   ChaseOptions closure_chase_;
+  const bool prune_by_dominance_;
+  const bool bound_by_remaining_cost_;
+  /// h of the remaining-cost bound: the cost of the cheapest one-access
+  /// plan over the candidates' methods (InitRoot).
+  double cheapest_access_ = 0;
 
   TermArena arena_;
   std::vector<std::string> position_columns_;

@@ -149,7 +149,11 @@ TEST(ChaseBudgetTest, ExpiredDeadlineStopsTheChase) {
 }
 
 TEST(AnytimeSearchTest, NodeCapReturnsBestSoFar) {
-  auto scenario = MakeMultiSourceScenario(4);
+  // Descending directory costs: the first plan found (cost 5) is not the
+  // optimum (cost 2), so some caps stop the search with a plan in hand.
+  const double dir_costs[] = {4.0, 3.0, 2.0, 1.0};
+  auto scenario =
+      MakeMultiSourceScenario(4, dir_costs, /*profinfo_cost=*/1.0);
   ASSERT_TRUE(scenario.ok()) << scenario.status();
   auto accessible =
       AccessibleSchema::Build(*scenario->schema, AccessibleVariant::kStandard);

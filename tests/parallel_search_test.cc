@@ -1,26 +1,35 @@
-// Parallel proof search: differential equivalence against one worker,
-// lifecycle/budget invariants, and the knobs' documented semantics.
+// Parallel proof search: differential equivalence against one worker and
+// against the search with all pruning off, lifecycle/budget invariants, and
+// the knobs' documented semantics.
 //
-// The load-bearing test is the randomized differential suite: for seeded
+// The load-bearing tests are the randomized differential suites: for seeded
 // scenarios, the driver at 1, 2 and 4 workers, all run to exhaustion, must
 // report the same optimal plan cost (plan identity may differ — ties and
-// exploration order are not canonical under work stealing).
-// LCP_PARALLEL_STRESS_ITERS scales the seed count (CI stress/TSan jobs).
+// exploration order are not canonical under work stealing); and on seeded
+// random schemas the default pruning (dominance, sleep sets, the cost bound
+// and the remaining-cost bound) must find the same plan existence and
+// optimal cost as the search with every pruning off.
+// LCP_PARALLEL_STRESS_ITERS scales the seed counts (CI stress/TSan jobs).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "lcp/accessible/accessible_schema.h"
 #include "lcp/base/budget.h"
 #include "lcp/base/clock.h"
+#include "lcp/base/strings.h"
+#include "lcp/plan/cardinality_cost.h"
 #include "lcp/plan/cost.h"
 #include "lcp/planner/proof_search.h"
+#include "lcp/schema/parser.h"
 #include "lcp/workload/scenarios.h"
 
 namespace lcp {
@@ -125,6 +134,179 @@ TEST(ParallelSearchTest, DifferentialRandomizedScenarios) {
     chain_options.candidate_order = options.candidate_order;
     ExpectParallelAgreesWithSequential(*chain, chain_options);
   }
+}
+
+/// A seeded random schema and query for the all-pruning-off differential,
+/// with its text for failure messages.
+struct RandomCase {
+  std::unique_ptr<Schema> schema;
+  ConjunctiveQuery query;
+  int max_access_commands = 2;
+  CandidateOrder order = CandidateOrder::kDerivationDepth;
+  std::string text;
+};
+
+/// 2-5 relations of arity 1-3 with 1-3 access methods each (random input
+/// positions; costs mix integer ties and reals), 0-3 acyclic TGDs with
+/// existentials and sometimes two-atom bodies, one schema constant, and a
+/// query of 1-4 atoms with random free variables.
+RandomCase MakeRandomCase(std::mt19937& rng) {
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % n); };
+  RandomCase c;
+  c.schema = std::make_unique<Schema>();
+  Schema& schema = *c.schema;
+  const int num_relations = 2 + pick(4);
+  std::vector<int> arity(num_relations);
+  for (int r = 0; r < num_relations; ++r) {
+    arity[r] = 1 + pick(3);
+    EXPECT_TRUE(schema.AddRelation(StrCat("R", r), arity[r]).ok());
+    const int num_methods = 1 + pick(3);
+    for (int m = 0; m < num_methods; ++m) {
+      std::vector<int> inputs;
+      for (int pos = 0; pos < arity[r]; ++pos) {
+        if (pick(3) == 0) inputs.push_back(pos);
+      }
+      const double cost = pick(2) == 0 ? 1 + pick(3) : 0.5 + pick(400) / 100.0;
+      EXPECT_TRUE(
+          schema.AddAccessMethod(StrCat("m", r, "_", m), r, inputs, cost)
+              .ok());
+      c.text += StrCat("R", r, "/", arity[r], " m", r, "_", m, " in{",
+                       StrJoin(inputs, ","), "} cost ", cost, "; ");
+    }
+  }
+  schema.AddConstant(Value::Str("k"));
+
+  // An atom over `relation` on the variables x0 and x1; with
+  // `existentials`, each position may get a new variable z0, z1, ... instead.
+  int num_existential = 0;
+  auto atom = [&](int relation, bool existentials) {
+    std::vector<std::string> terms;
+    for (int pos = 0; pos < arity[relation]; ++pos) {
+      terms.push_back(existentials && pick(2) == 0
+                          ? StrCat("z", num_existential++)
+                          : StrCat("x", pick(2)));
+    }
+    return StrCat("R", relation, "(", StrJoin(terms, ", "), ")");
+  };
+  // Acyclic: a head relation comes after every body relation.
+  const int num_tgds = pick(4);
+  for (int t = 0; t < num_tgds; ++t) {
+    const int head = 1 + pick(num_relations - 1);
+    std::string body = atom(pick(head), false);
+    if (pick(3) == 0) body += " & " + atom(pick(head), false);
+    std::string text = StrCat(body, " -> ", atom(head, true));
+    Result<Tgd> tgd = ParseTgd(schema, text);
+    if (!tgd.ok() || !schema.AddConstraint(*tgd).ok()) continue;
+    c.text += text + "; ";
+  }
+
+  const int num_atoms = 1 + pick(4);
+  const int num_vars = 1 + pick(4);
+  std::vector<std::string> atoms;
+  std::vector<bool> used(num_vars, false);
+  for (int a = 0; a < num_atoms; ++a) {
+    const int relation = pick(num_relations);
+    std::vector<std::string> terms;
+    for (int pos = 0; pos < arity[relation]; ++pos) {
+      if (pick(8) == 0) {
+        terms.push_back("\"k\"");
+        continue;
+      }
+      const int v = pick(num_vars);
+      used[v] = true;
+      terms.push_back(StrCat("v", v));
+    }
+    atoms.push_back(StrCat("R", relation, "(", StrJoin(terms, ", "), ")"));
+  }
+  std::vector<std::string> free_vars;
+  for (int v = 0; v < num_vars; ++v) {
+    if (used[v] && pick(2) == 0) free_vars.push_back(StrCat("v", v));
+  }
+  const std::string query_text = StrCat("Q(", StrJoin(free_vars, ", "),
+                                        ") :- ", StrJoin(atoms, ", "));
+  Result<ConjunctiveQuery> query = ParseQuery(schema, query_text);
+  EXPECT_TRUE(query.ok()) << query_text << ": " << query.status();
+  if (query.ok()) c.query = std::move(query).value();
+  c.max_access_commands = 2 + pick(4);
+  c.order = pick(2) == 0 ? CandidateOrder::kDerivationDepth
+                         : CandidateOrder::kFreeAccessFirst;
+  c.text += StrCat(query_text, " d=", c.max_access_commands,
+                   c.order == CandidateOrder::kFreeAccessFirst
+                       ? " free-access-first"
+                       : " derivation-depth");
+  return c;
+}
+
+TEST(ParallelSearchTest, DefaultPruningMatchesAllOffSearch) {
+  // Dominance, sleep sets, cost pruning and the remaining-cost bound may
+  // only skip work: the defaults must find a plan exactly when the search
+  // with every pruning off does, at the same optimal cost, at 1 and 4
+  // workers, with cost pruning and keep_all_plans toggled, under the
+  // additive simple cost and the non-additive cardinality cost.
+  const int iters = StressIters(200);
+  // The all-off search grows like (candidates)^d; cases that hit this cap
+  // are skipped.
+  constexpr int kReferenceNodeCap = 4000;
+  std::mt19937 rng(20261017);
+  int compared = 0;
+  for (int iter = 0; iter < iters; ++iter) {
+    RandomCase c = MakeRandomCase(rng);
+    auto accessible =
+        AccessibleSchema::Build(*c.schema, AccessibleVariant::kStandard);
+    ASSERT_TRUE(accessible.ok()) << accessible.status();
+    SimpleCostFunction simple(c.schema.get());
+    CardinalityEstimates estimates;
+    for (RelationId r = 0; r < c.schema->num_relations(); ++r) {
+      estimates.cardinality[r] = 1 + static_cast<int>(rng() % 200);
+    }
+    CardinalityCostFunction cardinality(c.schema.get(), estimates);
+    for (const CostFunction* cost :
+         {static_cast<const CostFunction*>(&simple),
+          static_cast<const CostFunction*>(&cardinality)}) {
+      const std::string where =
+          StrCat("iter ", iter, (cost == &simple ? " simple" : " cardinality"),
+                 " cost: ", c.text);
+      ProofSearch search(&*accessible, cost);
+      SearchOptions all_off;
+      all_off.max_access_commands = c.max_access_commands;
+      all_off.candidate_order = c.order;
+      all_off.prune_by_cost = false;
+      all_off.prune_by_dominance = false;
+      all_off.max_nodes = kReferenceNodeCap;
+      auto reference = search.Run(c.query, all_off);
+      ASSERT_TRUE(reference.ok()) << where << ": " << reference.status();
+      if (!reference->exhaustion.ok()) continue;
+      ++compared;
+      for (int workers : {1, 4}) {
+        for (bool prune_by_cost : {true, false}) {
+          for (bool keep_all_plans : {false, true}) {
+            SearchOptions options;
+            options.max_access_commands = c.max_access_commands;
+            options.candidate_order = c.order;
+            options.parallelism = workers;
+            options.prune_by_cost = prune_by_cost;
+            options.keep_all_plans = keep_all_plans;
+            auto outcome = search.Run(c.query, options);
+            ASSERT_TRUE(outcome.ok()) << where << ": " << outcome.status();
+            ASSERT_TRUE(outcome->exhaustion.ok())
+                << where << ": " << outcome->exhaustion;
+            const std::string variant =
+                StrCat(where, " [workers=", workers, " prune_by_cost=",
+                       prune_by_cost, " keep_all_plans=", keep_all_plans, "]");
+            ASSERT_EQ(reference->best.has_value(), outcome->best.has_value())
+                << variant;
+            if (reference->best.has_value()) {
+              EXPECT_DOUBLE_EQ(reference->best->cost, outcome->best->cost)
+                  << variant;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Most cases fit under the reference cap; the differential is vacuous if
+  // they do not.
+  EXPECT_GE(compared, iters);
 }
 
 TEST(ParallelSearchTest, ExplorationLogRejectedWhenParallel) {

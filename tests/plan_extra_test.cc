@@ -7,6 +7,7 @@
 #include "lcp/plan/cardinality_cost.h"
 #include "lcp/plan/validate.h"
 #include "lcp/planner/proof_search.h"
+#include "lcp/schema/parser.h"
 #include "lcp/workload/scenarios.h"
 
 namespace lcp {
@@ -237,6 +238,56 @@ TEST(CardinalityCostTest, IntersectionShrinksEstimatedBindings) {
   auto simple_outcome = simple_search.Run(scenario.query, options);
   ASSERT_TRUE(simple_outcome.ok());
   EXPECT_EQ(simple_outcome->best->plan.NumAccessCommands(), 2);
+}
+
+TEST(CardinalityCostTest, DominanceKeepsTheOptimum) {
+  // Two orders of the same accesses reach the same configuration at equal
+  // prefix cost, but the cardinality model charges the later keyed access
+  // by a join-size estimate that depends on the order. Dominance pruning
+  // would keep only the first order and lose the optimum, so the search
+  // must not apply it to a cost function that is not additive.
+  Schema schema;
+  RelationId r0 = schema.AddRelation("R0", 1).value();
+  RelationId r1 = schema.AddRelation("R1", 1).value();
+  RelationId r2 = schema.AddRelation("R2", 3).value();
+  schema.AddAccessMethod("mt_r0", r0, {}, 3.0).value();
+  schema.AddAccessMethod("mt_r1", r1, {0}, 2.0).value();
+  schema.AddAccessMethod("mt_r2", r2, {}, 1.0).value();
+  ASSERT_TRUE(
+      schema.AddConstraint(*ParseTgd(schema, "R1(x) -> R2(x, z, x)")).ok());
+  ConjunctiveQuery query =
+      ParseQuery(schema, "Q(a, c) :- R0(a), R1(a), R2(a, b, c)").value();
+  auto accessible =
+      AccessibleSchema::Build(schema, AccessibleVariant::kStandard);
+  ASSERT_TRUE(accessible.ok());
+  CardinalityEstimates estimates;
+  estimates.cardinality[r0] = 128;
+  estimates.cardinality[r1] = 11;
+  estimates.cardinality[r2] = 90;
+  CardinalityCostFunction cost(&schema, estimates);
+  EXPECT_FALSE(cost.IsAdditive());
+  ProofSearch search(&*accessible, &cost);
+  for (CandidateOrder order :
+       {CandidateOrder::kDerivationDepth, CandidateOrder::kFreeAccessFirst}) {
+    SearchOptions all_off;
+    all_off.max_access_commands = 5;
+    all_off.candidate_order = order;
+    all_off.prune_by_cost = false;
+    all_off.prune_by_dominance = false;
+    auto reference = search.Run(query, all_off);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    ASSERT_TRUE(reference->best.has_value());
+    EXPECT_DOUBLE_EQ(reference->best->cost, 29.5);
+
+    SearchOptions defaults;
+    defaults.max_access_commands = 5;
+    defaults.candidate_order = order;
+    auto outcome = search.Run(query, defaults);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    ASSERT_TRUE(outcome->best.has_value());
+    EXPECT_DOUBLE_EQ(outcome->best->cost, reference->best->cost);
+    EXPECT_EQ(outcome->stats.pruned_dominance, 0);
+  }
 }
 
 }  // namespace

@@ -158,7 +158,11 @@ TEST(SearchDetailTest, Theorem5InterpolationInvariants) {
 }
 
 TEST(SearchDetailTest, StopAtFirstPlanStopsEarly) {
-  Scenario scenario = MakeMultiSourceScenario(4).value();
+  // Descending directory costs: the first plan found (cost 5) is not the
+  // optimum (cost 2), so the exhaustive run has more to build after it.
+  const double dir_costs[] = {4.0, 3.0, 2.0, 1.0};
+  Scenario scenario =
+      MakeMultiSourceScenario(4, dir_costs, /*profinfo_cost=*/1.0).value();
   auto accessible = AccessibleSchema::Build(*scenario.schema,
                                             AccessibleVariant::kStandard);
   ASSERT_TRUE(accessible.ok());
