@@ -81,6 +81,14 @@ std::string StrCat(const Args&... args) {
   }
 }
 
+/// Appends the streamable arguments to `*out`, each rendered as by StrCat.
+template <typename... Args>
+void StrAppend(std::string* out, const Args&... args) {
+  static_assert(sizeof...(Args) > 0, "StrAppend needs something to append");
+  const internal_strings::Piece pieces[] = {args...};
+  for (const internal_strings::Piece& piece : pieces) out->append(piece.text());
+}
+
 /// Joins the elements of `parts` with `sep`, each rendered as by StrCat.
 template <typename Container>
 std::string StrJoin(const Container& parts, std::string_view sep) {

@@ -1,7 +1,6 @@
 #include "lcp/plan/opt/ir_util.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 #include <variant>
 
@@ -17,74 +16,73 @@ bool Has(const std::vector<std::string>& attrs, const std::string& attr) {
 }
 
 /// Serializes one value unambiguously (type tag + payload length).
-void KeyValue(std::ostringstream& os, const Value& v) {
+void KeyValue(std::string& key, const Value& v) {
   if (v.is_int()) {
-    os << "i" << v.AsInt();
+    StrAppend(&key, "i", v.AsInt());
   } else {
-    os << "s" << v.AsString().size() << ":" << v.AsString();
+    StrAppend(&key, "s", v.AsString().size(), ":", v.AsString());
   }
 }
 
-void KeyName(std::ostringstream& os, const std::string& name) {
-  os << name.size() << ":" << name;
+void KeyName(std::string& key, const std::string& name) {
+  StrAppend(&key, name.size(), ":", name);
 }
 
-void KeyExpr(std::ostringstream& os, const RaExpr& expr) {
+void KeyExpr(std::string& key, const RaExpr& expr) {
   switch (expr.op()) {
     case RaExpr::Op::kTempScan:
-      os << "T(";
-      KeyName(os, expr.table());
-      os << ")";
+      key += "T(";
+      KeyName(key, expr.table());
+      key += ")";
       return;
     case RaExpr::Op::kSingleton:
-      os << "1";
+      key += "1";
       return;
     case RaExpr::Op::kProject:
-      os << "P[";
-      for (const std::string& a : expr.attrs()) KeyName(os, a);
-      os << "](";
-      KeyExpr(os, *expr.children()[0]);
-      os << ")";
+      key += "P[";
+      for (const std::string& a : expr.attrs()) KeyName(key, a);
+      key += "](";
+      KeyExpr(key, *expr.children()[0]);
+      key += ")";
       return;
     case RaExpr::Op::kSelect: {
-      os << "S[";
+      key += "S[";
       for (const RaExpr::Condition& c : expr.conditions()) {
         if (c.kind == RaExpr::Condition::Kind::kAttrEqAttr) {
-          os << "a";
-          KeyName(os, c.lhs);
-          KeyName(os, c.rhs_attr);
+          key += "a";
+          KeyName(key, c.lhs);
+          KeyName(key, c.rhs_attr);
         } else {
-          os << "c";
-          KeyName(os, c.lhs);
-          KeyValue(os, c.rhs_const);
+          key += "c";
+          KeyName(key, c.lhs);
+          KeyValue(key, c.rhs_const);
         }
       }
-      os << "](";
-      KeyExpr(os, *expr.children()[0]);
-      os << ")";
+      key += "](";
+      KeyExpr(key, *expr.children()[0]);
+      key += ")";
       return;
     }
     case RaExpr::Op::kJoin:
     case RaExpr::Op::kUnion:
     case RaExpr::Op::kDifference:
-      os << (expr.op() == RaExpr::Op::kJoin
-                 ? "J"
-                 : expr.op() == RaExpr::Op::kUnion ? "U" : "D")
-         << "(";
-      KeyExpr(os, *expr.children()[0]);
-      os << ",";
-      KeyExpr(os, *expr.children()[1]);
-      os << ")";
+      key += expr.op() == RaExpr::Op::kJoin
+                 ? "J("
+                 : expr.op() == RaExpr::Op::kUnion ? "U(" : "D(";
+      KeyExpr(key, *expr.children()[0]);
+      key += ",";
+      KeyExpr(key, *expr.children()[1]);
+      key += ")";
       return;
     case RaExpr::Op::kRename:
-      os << "R[";
+      key += "R[";
       for (const auto& [from, to] : expr.renames()) {
-        KeyName(os, from);
-        KeyName(os, to);
+        KeyName(key, from);
+        KeyName(key, to);
       }
-      os << "](";
-      KeyExpr(os, *expr.children()[0]);
-      os << ")";
+      key += "](";
+      KeyExpr(key, *expr.children()[0]);
+      key += ")";
       return;
   }
 }
@@ -160,11 +158,11 @@ void NoteCommand(const Command& cmd, AttrEnv& env) {
 }
 
 std::string CommandKey(const Command& cmd) {
-  std::ostringstream os;
+  std::string key;
   if (const auto* access = std::get_if<AccessCommand>(&cmd)) {
-    os << "A" << access->method << "|";
-    if (access->input != nullptr) KeyExpr(os, *access->input);
-    os << "|";
+    StrAppend(&key, "A", access->method, "|");
+    if (access->input != nullptr) KeyExpr(key, *access->input);
+    key += "|";
     // Binding lists and position filters are sets semantically: normalize
     // their order so permuted but identical accesses collapse.
     auto bindings = access->input_binding;
@@ -174,10 +172,10 @@ std::string CommandKey(const Command& cmd) {
                                             : a.first < b.first;
               });
     for (const auto& [attr, pos] : bindings) {
-      os << pos << "=";
-      KeyName(os, attr);
+      StrAppend(&key, pos, "=");
+      KeyName(key, attr);
     }
-    os << "|";
+    key += "|";
     auto constants = access->constant_inputs;
     std::sort(constants.begin(), constants.end(),
               [](const auto& a, const auto& b) {
@@ -185,17 +183,17 @@ std::string CommandKey(const Command& cmd) {
                 return a.second < b.second;
               });
     for (const auto& [pos, value] : constants) {
-      os << pos << "=";
-      KeyValue(os, value);
+      StrAppend(&key, pos, "=");
+      KeyValue(key, value);
     }
-    os << "|";
+    key += "|";
     std::vector<std::pair<int, int>> equalities;
     for (const auto& [a, b] : access->position_equalities) {
       equalities.emplace_back(std::min(a, b), std::max(a, b));
     }
     std::sort(equalities.begin(), equalities.end());
-    for (const auto& [a, b] : equalities) os << a << "~" << b << ";";
-    os << "|";
+    for (const auto& [a, b] : equalities) StrAppend(&key, a, "~", b, ";");
+    key += "|";
     auto pos_constants = access->position_constants;
     std::sort(pos_constants.begin(), pos_constants.end(),
               [](const auto& a, const auto& b) {
@@ -203,21 +201,21 @@ std::string CommandKey(const Command& cmd) {
                 return a.second < b.second;
               });
     for (const auto& [pos, value] : pos_constants) {
-      os << pos << "=";
-      KeyValue(os, value);
+      StrAppend(&key, pos, "=");
+      KeyValue(key, value);
     }
-    os << "|";
+    key += "|";
     // Output columns stay in order: they fix the output table's schema.
     for (const auto& [attr, pos] : access->output_columns) {
-      KeyName(os, attr);
-      os << ":" << pos << ";";
+      KeyName(key, attr);
+      StrAppend(&key, ":", pos, ";");
     }
   } else {
     const QueryCommand& query = std::get<QueryCommand>(cmd);
-    os << "Q|";
-    if (query.expr != nullptr) KeyExpr(os, *query.expr);
+    key += "Q|";
+    if (query.expr != nullptr) KeyExpr(key, *query.expr);
   }
-  return os.str();
+  return key;
 }
 
 RaExprPtr SubstituteTables(

@@ -209,14 +209,14 @@ class SearchDriver {
       if (sp->success) {
         ++stats.successes;
         PublishPlan(core_.MakeFoundPlan(*sp));
-        Log(*sp, StrCat("SUCCESS cost=", sp->cost));
+        Log(*sp, "SUCCESS cost=", sp->cost);
         if (options_.stop_at_first_plan) {
           RequestStop();
           break;
         }
         continue;  // Keep expanding the current node's other candidates.
       }
-      Log(*sp, StrCat("cost=", sp->cost));
+      Log(*sp, "cost=", sp->cost);
       // Descend into the child; expose the parent (the larger remaining
       // subtree) for stealing. The increment must precede the push so no
       // idle worker can observe empty deques with in_flight_ == 0 while the
@@ -251,10 +251,12 @@ class SearchDriver {
                   std::shared_ptr<const ChaseConfig>(node, &node->config));
   }
 
-  /// Appends `node`'s exploration-log line (parallelism 1 only).
-  void Log(const SearchNode& node, const std::string& status) {
+  /// Appends `node`'s exploration-log line (parallelism 1 only), its status
+  /// the concatenation of `status`. Nothing is formatted when the log is off.
+  template <typename... Status>
+  void Log(const SearchNode& node, const Status&... status) {
     if (!options_.collect_exploration_log) return;
-    outcome_.exploration_log.push_back(core_.LogLine(node, status));
+    outcome_.exploration_log.push_back(core_.LogLine(node, StrCat(status...)));
   }
 
   /// Called when a node's candidates are exhausted: it leaves the live set.

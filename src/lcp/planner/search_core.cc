@@ -19,8 +19,9 @@ SearchCore::SearchCore(const AccessibleSchema& acc, const CostFunction& cost,
       options_(options),
       root_chase_(options.root_chase),
       closure_chase_(options.closure_chase),
-      prune_by_dominance_(options.prune_by_dominance && cost.IsAdditive()),
-      bound_by_remaining_cost_(options.prune_by_cost && cost.IsAdditive()) {
+      additive_(cost.IsAdditive()),
+      prune_by_dominance_(options.prune_by_dominance && additive_),
+      bound_by_remaining_cost_(options.prune_by_cost && additive_) {
   // One budget bounds the whole episode: the search loop and every chase
   // closure it runs poll the same deadline and cancel token.
   root_chase_.budget = options.budget;
@@ -86,9 +87,12 @@ Result<SearchNode> SearchCore::InitRoot(ChaseEngine& engine,
         return a.method < b.method;
       });
 
-  // h of the remaining-cost bound, priced by the cost function itself on
-  // one-access plans so that decorators see the same charges as the search.
-  if (bound_by_remaining_cost_ && !all_candidates_.empty()) {
+  // Under an additive cost every method's charge is priced once, by the
+  // cost function itself on a one-access plan, so that decorators see the
+  // same charges as a whole plan would; h of the remaining-cost bound is the
+  // cheapest of them.
+  if (additive_) {
+    method_charge_.assign(excluded.size(), 0);
     std::vector<char> priced(excluded.size(), 0);
     cheapest_access_ = std::numeric_limits<double>::infinity();
     for (const Candidate& cand : all_candidates_) {
@@ -100,7 +104,9 @@ Result<SearchNode> SearchCore::InitRoot(ChaseEngine& engine,
       Plan one;
       one.commands.push_back(std::move(access));
       one.output_table = "t";
-      cheapest_access_ = std::min(cheapest_access_, cost_.Cost(one));
+      method_charge_[cand.method] = cost_.Cost(one);
+      cheapest_access_ =
+          std::min(cheapest_access_, method_charge_[cand.method]);
     }
   }
 
@@ -168,45 +174,15 @@ bool SearchCore::CheckSuccess(const SearchNode& node) const {
   return HasHomomorphism(query_pattern_, node.config, std::move(assignment));
 }
 
-// GCC 12's middle end, at some inlining depths, reports false-positive
-// -Wrestrict / -Wmaybe-uninitialized warnings for std::variant<Command>
-// relocations inside the commands.push_back calls in MakeFoundPlan and
-// BuildChild (all AccessCommand members have default initializers; nothing
-// here reads uninitialized state). Suppress narrowly around these functions
-// to keep the build warning-clean.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-FoundPlan SearchCore::MakeFoundPlan(const SearchNode& node) const {
-  Plan plan;
-  plan.commands = node.commands;
-  if (!query_.free_variables.empty()) {
-    std::vector<std::string> out_attrs;
-    for (ChaseTermId term : free_var_terms_) {
-      out_attrs.push_back(arena_.DisplayName(term));
-    }
-    std::string out_table = StrCat("t", node.id, "_out");
-    plan.commands.push_back(QueryCommand{
-        out_table, RaExpr::Project(RaExpr::TempScan(node.table), out_attrs)});
-    plan.output_table = out_table;
-    plan.output_attrs = out_attrs;
-  } else {
-    plan.output_table = node.table;
-  }
-  return FoundPlan{std::move(plan), node.cost};
-}
-
 Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
                                           int child_id, ChaseEngine& engine,
                                           SearchStats& stats) const {
   ++stats.nodes_expanded;
   const Candidate& cand = all_candidates_[cand_index];
-  // Take copies up front: the parent's containers must not be aliased while
-  // the child is assembled.
-  const Fact exposed = parent.config.facts()[cand.fact_index];
+  // The parent's configuration is not modified below, so its facts are
+  // read in place.
+  const std::vector<Fact>& parent_facts = parent.config.facts();
+  const Fact& exposed = parent_facts[cand.fact_index];
   const AccessMethod& method = acc_.base().access_method(cand.method);
 
   // Facts induced by firing: all base facts over the same relation agreeing
@@ -221,9 +197,9 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
       if (bucket.size() < candidates->size()) candidates = &bucket;
     }
   }
-  std::vector<Fact> induced;
+  std::vector<int> induced;
   for (int idx : *candidates) {
-    const Fact& d = parent.config.facts()[idx];
+    const Fact& d = parent_facts[idx];
     bool agrees = true;
     for (int pos : method.input_positions) {
       if (d.terms[pos] != exposed.terms[pos]) {
@@ -231,9 +207,7 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
         break;
       }
     }
-    if (agrees && !IsAccessed(parent.config, d)) {
-      induced.push_back(d);
-    }
+    if (agrees && !IsAccessed(parent.config, d)) induced.push_back(idx);
   }
   LCP_CHECK(!induced.empty());
 
@@ -241,7 +215,7 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
   // any of the induced facts.
   for (int i = 0; i < static_cast<int>(all_candidates_.size()); ++i) {
     if (all_candidates_[i].method != cand.method) continue;
-    const Fact& d = parent.config.facts()[all_candidates_[i].fact_index];
+    const Fact& d = parent_facts[all_candidates_[i].fact_index];
     if (d.relation != exposed.relation) continue;
     bool agrees = true;
     for (int pos : method.input_positions) {
@@ -260,21 +234,16 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
   SearchNode child;
   child.id = child_id;
   child.parent = parent.id;
-  child.candidate = cand_index;
   // Sleep sets: the child inherits every access the parent has expanded,
   // this one included.
   if (prune_by_dominance_) child.removed = parent.removed;
   child.config = parent.config;
   child.accessible_terms = parent.accessible_terms;
-  // One access, one table per induced fact, one join.
-  child.commands.reserve(parent.commands.size() + induced.size() + 2);
-  child.commands.assign(parent.commands.begin(), parent.commands.end());
-  child.table = parent.table;
-  child.attrs = parent.attrs;
   child.accesses = parent.accesses + 1;
 
   // --- configuration update ----------------------------------------------
-  for (const Fact& d : induced) {
+  for (int idx : induced) {
+    const Fact& d = parent_facts[idx];
     child.config.Add(AccessedFact(d));
     child.config.Add(Fact(acc_.InferredOf(d.relation), d.terms));
     for (ChaseTermId t : d.terms) MarkAccessible(child, t);
@@ -286,96 +255,140 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
       engine.Run(compiled_inferred_, closure_chase_, child.config));
   stats.closure_firings += closure_stats.firings;
 
-  // --- plan update (§4 proof-to-plan translation) --------------------------
-  const std::string parent_table = child.table;
-  std::string raw = StrCat("t", child.id, "_raw");
-  AccessCommand access;
-  access.method = cand.method;
-  access.output_table = raw;
-  const Relation& rel = acc_.base().relation(exposed.relation);
-  for (int i = 0; i < rel.arity; ++i) {
-    access.output_columns.emplace_back(PositionColumn(i), i);
-  }
-  std::vector<std::string> input_attrs;
-  for (int pos : method.input_positions) {
-    ChaseTermId t = exposed.terms[pos];
-    if (TermArena::IsConstant(t)) {
-      access.constant_inputs.emplace_back(pos, arena_.ConstantOf(t));
-    } else {
-      std::string attr = arena_.DisplayName(t);
-      access.input_binding.emplace_back(attr, pos);
-      if (std::find(input_attrs.begin(), input_attrs.end(), attr) ==
-          input_attrs.end()) {
-        input_attrs.push_back(attr);
-      }
-    }
-  }
-  if (!input_attrs.empty()) {
-    LCP_CHECK(!parent_table.empty())
-        << "accessible null inputs require a previous table";
-    access.input =
-        RaExpr::Project(RaExpr::TempScan(parent_table), input_attrs);
-  }
-  child.commands.push_back(std::move(access));
+  // --- proof and cost --------------------------------------------------------
+  child.proof = std::make_shared<const ProofStep>(
+      ProofStep{cand_index, child.id, std::move(induced), parent.proof});
+  // An additive cost sums its charges in command order, which is the order
+  // of the proof's exposures, so this is exactly the cost of the plan.
+  child.cost = additive_ ? parent.cost + method_charge_[cand.method]
+                         : cost_.Cost(ReadPlan(child));
+  return child;
+}
 
-  // One derived table per induced fact, then one join command.
-  std::vector<std::string> fact_tables;
-  for (size_t fi = 0; fi < induced.size(); ++fi) {
-    const Fact& d = induced[fi];
-    RaExprPtr expr = RaExpr::TempScan(raw);
-    std::vector<RaExpr::Condition> conds;
-    std::vector<std::pair<std::string, std::string>> renames;
-    std::vector<std::string> proj;
+// GCC 12's middle end, at some inlining depths, reports false-positive
+// -Wrestrict / -Wmaybe-uninitialized warnings for std::variant<Command>
+// relocations inside the commands.push_back calls in ReadPlan and
+// MakeFoundPlan (all AccessCommand members have default initializers;
+// nothing here reads uninitialized state). Suppress narrowly around these
+// functions to keep the build warning-clean.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+Plan SearchCore::ReadPlan(const SearchNode& node) const {
+  std::vector<const ProofStep*> steps;
+  for (const ProofStep* step = node.proof.get(); step != nullptr;
+       step = step->prev.get()) {
+    steps.push_back(step);
+  }
+  // Base facts keep their root indexes in every descendant, so the node's
+  // own configuration holds every fact the proof names.
+  const std::vector<Fact>& facts = node.config.facts();
+  Plan plan;
+  std::string table;  // The running table; empty before any access.
+  for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
+    const ProofStep& step = **it;
+    const Candidate& cand = all_candidates_[step.candidate];
+    const Fact& exposed = facts[cand.fact_index];
+    const AccessMethod& method = acc_.base().access_method(cand.method);
+    const Relation& rel = acc_.base().relation(exposed.relation);
+
+    std::string raw = StrCat("t", step.node_id, "_raw");
+    AccessCommand access;
+    access.method = cand.method;
+    access.output_table = raw;
     for (int i = 0; i < rel.arity; ++i) {
-      ChaseTermId t = d.terms[i];
-      const std::string& col = PositionColumn(i);
+      access.output_columns.emplace_back(PositionColumn(i), i);
+    }
+    std::vector<std::string> input_attrs;
+    for (int pos : method.input_positions) {
+      ChaseTermId t = exposed.terms[pos];
       if (TermArena::IsConstant(t)) {
-        conds.push_back(
-            RaExpr::Condition::AttrEqConst(col, arena_.ConstantOf(t)));
-        continue;
-      }
-      int first = 0;
-      while (d.terms[first] != t) ++first;
-      if (first < i) {
-        conds.push_back(
-            RaExpr::Condition::AttrEqAttr(col, PositionColumn(first)));
+        access.constant_inputs.emplace_back(pos, arena_.ConstantOf(t));
       } else {
         std::string attr = arena_.DisplayName(t);
-        renames.emplace_back(col, attr);
-        proj.push_back(attr);
-        if (std::find(child.attrs.begin(), child.attrs.end(), attr) ==
-            child.attrs.end()) {
-          child.attrs.push_back(attr);
+        access.input_binding.emplace_back(attr, pos);
+        if (std::find(input_attrs.begin(), input_attrs.end(), attr) ==
+            input_attrs.end()) {
+          input_attrs.push_back(attr);
         }
       }
     }
-    if (!conds.empty()) expr = RaExpr::Select(std::move(expr), std::move(conds));
-    if (!renames.empty()) {
-      expr = RaExpr::Rename(std::move(expr), std::move(renames));
+    if (!input_attrs.empty()) {
+      LCP_CHECK(!table.empty())
+          << "accessible null inputs require a previous table";
+      access.input = RaExpr::Project(RaExpr::TempScan(table), input_attrs);
     }
-    expr = RaExpr::Project(std::move(expr), std::move(proj));
-    std::string table = StrCat("t", child.id, "_f", fi);
-    child.commands.push_back(QueryCommand{table, std::move(expr)});
-    fact_tables.push_back(std::move(table));
-  }
-  RaExprPtr joined =
-      parent_table.empty() ? nullptr : RaExpr::TempScan(parent_table);
-  for (const std::string& table : fact_tables) {
-    RaExprPtr scan = RaExpr::TempScan(table);
-    joined = joined ? RaExpr::Join(std::move(joined), std::move(scan))
-                    : std::move(scan);
-  }
-  child.table = StrCat("t", child.id);
-  child.commands.push_back(QueryCommand{child.table, std::move(joined)});
+    plan.commands.push_back(std::move(access));
 
-  // --- cost ----------------------------------------------------------------
-  // The plan borrows the command list for the call.
-  Plan partial;
-  partial.commands = std::move(child.commands);
-  partial.output_table = child.table;
-  child.cost = cost_.Cost(partial);
-  child.commands = std::move(partial.commands);
-  return child;
+    // One derived table per induced fact, then one join command.
+    std::vector<std::string> fact_tables;
+    for (size_t fi = 0; fi < step.induced.size(); ++fi) {
+      const Fact& d = facts[step.induced[fi]];
+      RaExprPtr expr = RaExpr::TempScan(raw);
+      std::vector<RaExpr::Condition> conds;
+      std::vector<std::pair<std::string, std::string>> renames;
+      std::vector<std::string> proj;
+      for (int i = 0; i < rel.arity; ++i) {
+        ChaseTermId t = d.terms[i];
+        const std::string& col = PositionColumn(i);
+        if (TermArena::IsConstant(t)) {
+          conds.push_back(
+              RaExpr::Condition::AttrEqConst(col, arena_.ConstantOf(t)));
+          continue;
+        }
+        int first = 0;
+        while (d.terms[first] != t) ++first;
+        if (first < i) {
+          conds.push_back(
+              RaExpr::Condition::AttrEqAttr(col, PositionColumn(first)));
+        } else {
+          std::string attr = arena_.DisplayName(t);
+          renames.emplace_back(col, attr);
+          proj.push_back(std::move(attr));
+        }
+      }
+      if (!conds.empty()) {
+        expr = RaExpr::Select(std::move(expr), std::move(conds));
+      }
+      if (!renames.empty()) {
+        expr = RaExpr::Rename(std::move(expr), std::move(renames));
+      }
+      expr = RaExpr::Project(std::move(expr), std::move(proj));
+      std::string fact_table = StrCat("t", step.node_id, "_f", fi);
+      plan.commands.push_back(QueryCommand{fact_table, std::move(expr)});
+      fact_tables.push_back(std::move(fact_table));
+    }
+    RaExprPtr joined = table.empty() ? nullptr : RaExpr::TempScan(table);
+    for (const std::string& fact_table : fact_tables) {
+      RaExprPtr scan = RaExpr::TempScan(fact_table);
+      joined = joined ? RaExpr::Join(std::move(joined), std::move(scan))
+                      : std::move(scan);
+    }
+    table = StrCat("t", step.node_id);
+    plan.commands.push_back(QueryCommand{table, std::move(joined)});
+  }
+  plan.output_table = std::move(table);
+  return plan;
+}
+
+FoundPlan SearchCore::MakeFoundPlan(const SearchNode& node) const {
+  Plan plan = ReadPlan(node);
+  if (!query_.free_variables.empty()) {
+    std::vector<std::string> out_attrs;
+    for (ChaseTermId term : free_var_terms_) {
+      out_attrs.push_back(arena_.DisplayName(term));
+    }
+    std::string out_table = StrCat("t", node.id, "_out");
+    plan.commands.push_back(QueryCommand{
+        out_table,
+        RaExpr::Project(RaExpr::TempScan(plan.output_table), out_attrs)});
+    plan.output_table = out_table;
+    plan.output_attrs = out_attrs;
+  }
+  return FoundPlan{std::move(plan), node.cost};
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -445,9 +458,9 @@ const DominanceProbe& SearchCore::MakeDominanceProbe(
 std::string SearchCore::LogLine(const SearchNode& node,
                                 const std::string& status) const {
   std::string label = "root";
-  if (node.candidate >= 0) {
+  if (node.proof != nullptr) {
     // Base facts keep their root indexes in every descendant.
-    const Candidate& cand = all_candidates_[node.candidate];
+    const Candidate& cand = all_candidates_[node.proof->candidate];
     label = StrCat(
         "expose ",
         FactToString(node.config.facts()[cand.fact_index], acc_.schema(),

@@ -6,6 +6,7 @@
 // public API — include lcp/planner/proof_search.h instead.
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,8 +30,22 @@ struct Candidate {
   AccessMethodId method;
 };
 
+/// One exposure of a partial proof (§4): the candidate fired, the id of the
+/// node it built, which names the step's tables, and the base facts it
+/// induced, by their root indexes. Steps are immutable once built and
+/// shared: a node's proof is its own step linked back to the root (a
+/// persistent list), so a child adds one step and shares the rest with its
+/// parent.
+struct ProofStep {
+  int candidate = -1;
+  int node_id = 0;
+  std::vector<int> induced;
+  std::shared_ptr<const ProofStep> prev;  ///< Null for the first exposure.
+};
+
 /// One node of the partial proof tree: a chase configuration over the
-/// accessible schema plus the SPJ plan prefix read off the proof.
+/// accessible schema plus the proof that built it. The plan is read off the
+/// proof only when needed (SearchCore::ReadPlan).
 ///
 /// Ownership under parallel search: a node is *owned* by exactly one worker
 /// at a time (hand-off goes through a work-stealing deque, which
@@ -43,8 +58,6 @@ struct SearchNode {
   /// derived from them are unique within every plan.
   int id = 0;
   int parent = -1;
-  /// Index of the candidate this node exposed; -1 at the root.
-  int candidate = -1;
   ChaseConfig config;
   /// Terms with an accessible(t) fact, ascending.
   std::vector<ChaseTermId> accessible_terms;
@@ -55,9 +68,8 @@ struct SearchNode {
   /// inherits its parent's bitmap (sleep sets, DESIGN.md §8).
   std::vector<bool> removed;
   size_t cursor = 0;  ///< Next candidate index to consider.
-  std::vector<Command> commands;
-  std::string table;  ///< Running temporary table; empty before any access.
-  std::vector<std::string> attrs;  ///< Its attributes (accessible nulls).
+  /// The exposures from the root, last one first; null at the root.
+  std::shared_ptr<const ProofStep> proof;
   double cost = 0;
   int accesses = 0;
   bool success = false;
@@ -65,10 +77,10 @@ struct SearchNode {
 
 /// The scheduling-independent parts of Algorithm 1: root construction,
 /// candidate iteration, node expansion (configuration update,
-/// inferred-accessible closure, §4 proof-to-plan translation, cost), success
-/// detection, the dominance signature and probe, and which prunings the cost
-/// function admits (IsAdditive). Pruning *decisions* and node bookkeeping
-/// stay in the driver.
+/// inferred-accessible closure, proof step, cost), success detection, the
+/// §4 proof-to-plan translation, the dominance signature and probe, and
+/// which prunings the cost function admits (IsAdditive). Pruning *decisions*
+/// and node bookkeeping stay in the driver.
 ///
 /// Thread model: construction and InitRoot are single-threaded; afterwards
 /// every method is const and safe from concurrent workers (the arena it
@@ -82,7 +94,8 @@ class SearchCore {
 
   /// Builds the root node: canonical database of the query, root closure
   /// under the original constraints, schema/query constants marked
-  /// accessible, the global candidate list, and the compiled InferredAccQ /
+  /// accessible, the global candidate list, each candidate method's charge
+  /// (under an additive cost), and the compiled InferredAccQ /
   /// inferred-constraint patterns. Call exactly once, before any workers
   /// start. Does not count the node — the driver owns node accounting.
   Result<SearchNode> InitRoot(ChaseEngine& engine, SearchStats& stats);
@@ -95,18 +108,26 @@ class SearchCore {
 
   bool CheckSuccess(const SearchNode& node) const;
 
-  /// The §4 plan read off a successful node, with the free-variable
-  /// projection appended, plus its cost.
+  /// The §4 plan read off `node`'s proof: per exposure, one access command,
+  /// one derived table per induced fact and one join into the running
+  /// table, which is the plan's output table.
+  Plan ReadPlan(const SearchNode& node) const;
+
+  /// The plan read off a successful node, with the free-variable projection
+  /// appended, plus its cost.
   FoundPlan MakeFoundPlan(const SearchNode& node) const;
 
   /// Expands `parent` on `cand_index`: removes the sibling candidates this
   /// access also covers (Algorithm 1, line 10), then builds the child —
   /// inherited sleep set (when dominance pruning is in effect),
   /// configuration update, "fire inferred accessible rules immediately"
-  /// closure, plan prefix, cost. Returns the child without making any
-  /// pruning decision. Mutates only `parent` (which the caller owns) and
-  /// `stats` (the caller's). Errors propagate (typically a budget-exhausted
-  /// chase closure; drivers translate that into the anytime contract).
+  /// closure, proof step, cost. Under an additive cost the child costs its
+  /// parent's cost plus its method's charge; otherwise the cost function
+  /// prices the plan read off the child's proof. Returns the child without
+  /// making any pruning decision. Mutates only `parent` (which the caller
+  /// owns) and `stats` (the caller's). Errors propagate (typically a
+  /// budget-exhausted chase closure; drivers translate that into the
+  /// anytime contract).
   Result<SearchNode> BuildChild(SearchNode& parent, int cand_index,
                                 int child_id, ChaseEngine& engine,
                                 SearchStats& stats) const;
@@ -179,10 +200,14 @@ class SearchCore {
   /// Chase options with the shared budget threaded in.
   ChaseOptions root_chase_;
   ChaseOptions closure_chase_;
+  const bool additive_;
   const bool prune_by_dominance_;
   const bool bound_by_remaining_cost_;
-  /// h of the remaining-cost bound: the cost of the cheapest one-access
-  /// plan over the candidates' methods (InitRoot).
+  /// Under an additive cost, each candidate method's charge: the cost of
+  /// its one-access plan, indexed by method id (InitRoot).
+  std::vector<double> method_charge_;
+  /// h of the remaining-cost bound: the cheapest charge over the candidates'
+  /// methods (InitRoot).
   double cheapest_access_ = 0;
 
   TermArena arena_;

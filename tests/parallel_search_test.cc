@@ -28,6 +28,7 @@
 #include "lcp/base/strings.h"
 #include "lcp/plan/cardinality_cost.h"
 #include "lcp/plan/cost.h"
+#include "lcp/plan/validate.h"
 #include "lcp/planner/proof_search.h"
 #include "lcp/schema/parser.h"
 #include "lcp/workload/scenarios.h"
@@ -242,7 +243,10 @@ TEST(ParallelSearchTest, DefaultPruningMatchesAllOffSearch) {
   // only skip work: the defaults must find a plan exactly when the search
   // with every pruning off does, at the same optimal cost, at 1 and 4
   // workers, with cost pruning and keep_all_plans toggled, under the
-  // additive simple cost and the non-additive cardinality cost.
+  // additive simple cost and the non-additive cardinality cost. Every plan
+  // either search returns must be well-formed and cost exactly what the
+  // search charged for it: the per-access charges the search sums and the
+  // plan read off the proof agree.
   const int iters = StressIters(200);
   // The all-off search grows like (candidates)^d; cases that hit this cap
   // are skipped.
@@ -266,6 +270,23 @@ TEST(ParallelSearchTest, DefaultPruningMatchesAllOffSearch) {
       const std::string where =
           StrCat("iter ", iter, (cost == &simple ? " simple" : " cardinality"),
                  " cost: ", c.text);
+      auto check_plans = [&](const SearchOutcome& outcome,
+                             const std::string& variant) {
+        std::vector<const FoundPlan*> plans;
+        if (outcome.best.has_value()) plans.push_back(&*outcome.best);
+        for (const FoundPlan& found : outcome.all_plans) {
+          plans.push_back(&found);
+        }
+        for (const FoundPlan* found : plans) {
+          Status valid = ValidatePlan(found->plan, *c.schema);
+          EXPECT_TRUE(valid.ok())
+              << variant << ": " << valid << "\n"
+              << found->plan.ToString(*c.schema);
+          EXPECT_EQ(cost->Cost(found->plan), found->cost)
+              << variant << "\n"
+              << found->plan.ToString(*c.schema);
+        }
+      };
       ProofSearch search(&*accessible, cost);
       SearchOptions all_off;
       all_off.max_access_commands = c.max_access_commands;
@@ -277,6 +298,7 @@ TEST(ParallelSearchTest, DefaultPruningMatchesAllOffSearch) {
       ASSERT_TRUE(reference.ok()) << where << ": " << reference.status();
       if (!reference->exhaustion.ok()) continue;
       ++compared;
+      check_plans(*reference, StrCat(where, " [all pruning off]"));
       for (int workers : {1, 4}) {
         for (bool prune_by_cost : {true, false}) {
           for (bool keep_all_plans : {false, true}) {
@@ -299,6 +321,7 @@ TEST(ParallelSearchTest, DefaultPruningMatchesAllOffSearch) {
               EXPECT_DOUBLE_EQ(reference->best->cost, outcome->best->cost)
                   << variant;
             }
+            check_plans(*outcome, variant);
           }
         }
       }

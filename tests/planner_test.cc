@@ -233,6 +233,68 @@ TEST(ProofSearchTest, Example5Figure1ExplorationWithPaperHeuristic) {
   EXPECT_GT(outcome->stats.pruned_dominance, 0);
 }
 
+/// The listing of the best plan for `scenario` under the simple cost.
+std::string BestPlanText(const Scenario& scenario, int max_access_commands) {
+  auto accessible =
+      AccessibleSchema::Build(*scenario.schema, AccessibleVariant::kStandard);
+  EXPECT_TRUE(accessible.ok()) << accessible.status();
+  if (!accessible.ok()) return "";
+  SimpleCostFunction cost(scenario.schema.get());
+  ProofSearch search(&*accessible, &cost);
+  SearchOptions options;
+  options.max_access_commands = max_access_commands;
+  auto outcome = search.Run(scenario.query, options);
+  EXPECT_TRUE(outcome.ok()) << outcome.status();
+  if (!outcome.ok() || !outcome->best.has_value()) return "";
+  return outcome->best->plan.ToString(*scenario.schema);
+}
+
+TEST(ProofSearchTest, BestPlanTextIsPinned) {
+  // The §4 translation's exact output for the best plans of Examples 1, 2
+  // and 5. Table names carry node ids, so this also pins the search order.
+  auto profinfo = MakeProfinfoScenario(/*boolean_query=*/false);
+  ASSERT_TRUE(profinfo.ok()) << profinfo.status();
+  EXPECT_EQ(BestPlanText(*profinfo, 3),
+            "t1_raw <- mt_udirect <- {} out(#p0:0,#p1:1)\n"
+            "t1_f0 := project[eid_0](rename[#p0->eid_0](select[#p1=\"smith\"](scan(t1_raw))))\n"
+            "t1 := scan(t1_f0)\n"
+            "t2_raw <- mt_profinfo <- project[eid_0](scan(t1)) out(#p0:0,#p1:1,#p2:2)\n"
+            "t2_f0 := project[eid_0,onum_1](rename[#p0->eid_0,#p1->onum_1](select[#p2=\"smith\"](scan(t2_raw))))\n"
+            "t2 := (scan(t1) join scan(t2_f0))\n"
+            "t2_out := project[eid_0](scan(t2))\n"
+            "output: t2_out[eid_0]\n");
+
+  auto telephone = MakeTelephoneScenario();
+  ASSERT_TRUE(telephone.ok()) << telephone.status();
+  EXPECT_EQ(BestPlanText(*telephone, 5),
+            "t1_raw <- mt_names <- {} out(#p0:0)\n"
+            "t1_f0 := project[uname_1](rename[#p0->uname_1](scan(t1_raw)))\n"
+            "t1 := scan(t1_f0)\n"
+            "t2_raw <- mt_ids <- {} out(#p0:0)\n"
+            "t2_f0 := project[i_3](rename[#p0->i_3](scan(t2_raw)))\n"
+            "t2 := (scan(t1) join scan(t2_f0))\n"
+            "t3_raw <- mt_direct1 <- project[uname_1,i_3](scan(t2)) out(#p0:0,#p1:1,#p2:2)\n"
+            "t3_f0 := project[uname_1,addr_2,i_3](rename[#p0->uname_1,#p1->addr_2,#p2->i_3](scan(t3_raw)))\n"
+            "t3 := (scan(t2) join scan(t3_f0))\n"
+            "t4_raw <- mt_direct2 <- project[uname_1,addr_2](scan(t3)) out(#p0:0,#p1:1,#p2:2)\n"
+            "t4_f0 := project[uname_1,addr_2,phone_0](rename[#p0->uname_1,#p1->addr_2,#p2->phone_0](scan(t4_raw)))\n"
+            "t4 := (scan(t3) join scan(t4_f0))\n"
+            "t4_out := project[phone_0](scan(t4))\n"
+            "output: t4_out[phone_0]\n");
+
+  const double costs[] = {5.0, 1.0, 3.0};
+  auto multi = MakeMultiSourceScenario(3, costs, /*profinfo_cost=*/1.0);
+  ASSERT_TRUE(multi.ok()) << multi.status();
+  EXPECT_EQ(BestPlanText(*multi, 4),
+            "t3_raw <- mt_udirect2 <- {} out(#p0:0,#p1:1)\n"
+            "t3_f0 := project[eid_0,lname_2](rename[#p0->eid_0,#p1->lname_2](scan(t3_raw)))\n"
+            "t3 := scan(t3_f0)\n"
+            "t4_raw <- mt_profinfo <- project[eid_0,lname_2](scan(t3)) out(#p0:0,#p1:1,#p2:2)\n"
+            "t4_f0 := project[eid_0,onum_1,lname_2](rename[#p0->eid_0,#p1->onum_1,#p2->lname_2](scan(t4_raw)))\n"
+            "t4 := (scan(t3) join scan(t4_f0))\n"
+            "output: t4\n");
+}
+
 TEST(ProofSearchTest, ChainScenarioNeedsChainLengthPlusOneAccesses) {
   for (int len = 1; len <= 3; ++len) {
     auto scenario = MakeChainScenario(len);
