@@ -2,7 +2,7 @@
 # Runs the benchmark suite and records the perf trajectory as JSON.
 #
 # Usage: bench/run_benches.sh [BUILD_DIR] [OUT_JSON] [RUNTIME_OUT_JSON] \
-#                             [SERVICE_OUT_JSON] [PARALLEL_OUT_JSON] \
+#                             [SERVICE_OUT_JSON] [CHAIN_OUT_JSON] \
 #                             [RUNTIME_EXEC_OUT_JSON] [PLAN_OPT_OUT_JSON]
 #   BUILD_DIR         cmake build directory containing the bench binaries
 #                     (default: build)
@@ -12,8 +12,9 @@
 #                     (default: BENCH_runtime.json in the current directory)
 #   SERVICE_OUT_JSON  output path for the query-service JSON report
 #                     (default: BENCH_service.json in the current directory)
-#   PARALLEL_OUT_JSON output path for the parallel proof-search JSON report
-#                     (default: BENCH_parallel.json in the current directory)
+#   CHAIN_OUT_JSON    output path for the chain proof-search JSON report
+#                     (default: BENCH_chain_search.json in the current
+#                     directory)
 #   RUNTIME_EXEC_OUT_JSON
 #                     output path for the execution-engine JSON report
 #                     (default: BENCH_runtime_exec.json in the current
@@ -50,11 +51,9 @@
 # results; the summary prints the vectorized speedup per size (target:
 # >= 5x on the larger sizes).
 #
-# BENCH_parallel.json covers the work-stealing parallel proof search
-# (BM_ParallelSearch, workers 1/2/4/8 on the hard chain workload). Every row
-# records its `parallelism` counter plus `host_cores`; the summary prints
-# the speedup curve next to the host core count — speedups past the core
-# count measure contention, not parallelism.
+# BENCH_chain_search.json covers one proof search on the hard chain
+# workload (BM_ChainSearch, k=10 relations with m=3 methods each). Every row
+# records nodes_expanded, nodes_created, best_cost and host_cores.
 #
 # BENCH_plan_opt.json covers the plan-IR optimizer (DESIGN.md §11):
 # BM_Optimize* records cost-before/after and per-pass cost deltas on the
@@ -70,18 +69,18 @@ BUILD_DIR="${1:-build}"
 OUT_JSON="${2:-BENCH_chase.json}"
 RUNTIME_OUT_JSON="${3:-BENCH_runtime.json}"
 SERVICE_OUT_JSON="${4:-BENCH_service.json}"
-PARALLEL_OUT_JSON="${5:-BENCH_parallel.json}"
+CHAIN_OUT_JSON="${5:-BENCH_chain_search.json}"
 RUNTIME_EXEC_OUT_JSON="${6:-BENCH_runtime_exec.json}"
 PLAN_OPT_OUT_JSON="${7:-BENCH_plan_opt.json}"
 CHASE_BIN="${BUILD_DIR}/bench/bench_chase"
 RUNTIME_BIN="${BUILD_DIR}/bench/bench_runtime_faults"
 SERVICE_BIN="${BUILD_DIR}/bench/bench_service"
-PARALLEL_BIN="${BUILD_DIR}/bench/bench_parallel_search"
+CHAIN_BIN="${BUILD_DIR}/bench/bench_chain_search"
 RUNTIME_EXEC_BIN="${BUILD_DIR}/bench/bench_runtime"
 PLAN_OPT_BIN="${BUILD_DIR}/bench/bench_plan_opt"
 
 for bin in "${CHASE_BIN}" "${RUNTIME_BIN}" "${SERVICE_BIN}" \
-           "${PARALLEL_BIN}" "${RUNTIME_EXEC_BIN}" "${PLAN_OPT_BIN}"; do
+           "${CHAIN_BIN}" "${RUNTIME_EXEC_BIN}" "${PLAN_OPT_BIN}"; do
   if [[ ! -x "${bin}" ]]; then
     echo "error: ${bin} not found; build first:" >&2
     echo "  cmake -B ${BUILD_DIR} -S . && cmake --build ${BUILD_DIR} -j" >&2
@@ -250,44 +249,12 @@ if scaling and cores < max(int(w) for w in scaling):
 EOF
 fi
 
-"${PARALLEL_BIN}" \
-  --benchmark_out="${PARALLEL_OUT_JSON}" \
+"${CHAIN_BIN}" \
+  --benchmark_out="${CHAIN_OUT_JSON}" \
   --benchmark_out_format=json \
   ${BENCH_MIN_TIME:+--benchmark_min_time="${BENCH_MIN_TIME}"}
 
-echo "wrote ${PARALLEL_OUT_JSON}"
-
-# Parallel proof-search speedup curve. Each row carries its `parallelism`
-# counter; the host core count is printed alongside because a 1/2-core
-# runner cannot show real speedup (the >= 2.5x @ 4 workers target assumes a
-# >= 4-core host). Informational, like the other summaries.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "${PARALLEL_OUT_JSON}" <<'EOF'
-import json, os, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-rows = {}
-for b in report.get("benchmarks", []):
-    if b.get("run_type") == "aggregate":
-        continue
-    if b.get("name", "").startswith("BM_ParallelSearch/"):
-        rows[int(b["parallelism"])] = b
-cores = os.cpu_count() or 1
-print(f"parallel search (host cores: {cores}):")
-base = rows.get(1, {}).get("real_time")
-to_ms = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-for p in sorted(rows):
-    t = rows[p]["real_time"]
-    ms = t * to_ms.get(rows[p].get("time_unit", "ns"), 1e-6)
-    speedup = f"{base / t:.2f}x" if base and t else "n/a"
-    print(f"  parallelism={p}: {ms:.1f} ms, speedup {speedup} "
-          f"(expanded {rows[p].get('nodes_expanded', 0):,.0f})")
-if cores < 4:
-    print("  note: host has fewer than 4 cores; the speedup column "
-          "measures scheduling overhead, not parallel capacity")
-EOF
-fi
+echo "wrote ${CHAIN_OUT_JSON}"
 
 "${RUNTIME_EXEC_BIN}" \
   --benchmark_out="${RUNTIME_EXEC_OUT_JSON}" \

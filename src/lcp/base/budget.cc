@@ -1,7 +1,6 @@
 #include "lcp/base/budget.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "lcp/base/check.h"
 
@@ -15,24 +14,14 @@ void Budget::SetDeadline(Clock* clock, int64_t budget_micros) {
   deadline_micros_ = std::max<int64_t>(clock->NowMicros() + budget_micros, 0);
 }
 
-Status Budget::Latch(Status status) {
-  std::lock_guard<std::mutex> lock(latch_mutex_);
-  if (!latched_.load(std::memory_order_relaxed)) {
-    exhaustion_ = std::move(status);
-    latched_.store(true, std::memory_order_release);
+Status Budget::Check() {
+  if (!exhaustion_.ok()) return exhaustion_;
+  if (cancel_token_ != nullptr && cancel_token_->cancelled()) {
+    exhaustion_ = Status(cancel_token_->code(), "budget cancelled via token");
+  } else if (deadline_micros_ >= 0 && clock_->NowMicros() >= deadline_micros_) {
+    exhaustion_ = DeadlineExceededError("budget deadline exceeded");
   }
   return exhaustion_;
-}
-
-Status Budget::Check() {
-  if (latched_.load(std::memory_order_acquire)) return exhaustion_;
-  if (cancel_token_ != nullptr && cancel_token_->cancelled()) {
-    return Latch(Status(cancel_token_->code(), "budget cancelled via token"));
-  }
-  if (deadline_micros_ >= 0 && clock_->NowMicros() >= deadline_micros_) {
-    return Latch(DeadlineExceededError("budget deadline exceeded"));
-  }
-  return Status::Ok();
 }
 
 }  // namespace lcp

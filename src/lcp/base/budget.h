@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 
 #include "lcp/base/clock.h"
 #include "lcp/base/status.h"
@@ -50,10 +49,8 @@ class CancelToken {
 /// appears; anytime callers (ProofSearch) convert kDeadlineExceeded into a
 /// best-effort result instead of an error.
 ///
-/// Thread model: Check is safe from any number of concurrent threads (the
-/// parallel proof search polls one shared budget from every worker); the
-/// latch is first-writer-wins. Configuration — SetDeadline,
-/// set_cancel_token — must happen before the budget is shared.
+/// Thread model: a Budget belongs to the one thread that runs its planning
+/// episode. The attached CancelToken is the cross-thread handle.
 class Budget {
  public:
   /// Unlimited budget: every check passes.
@@ -70,36 +67,21 @@ class Budget {
   void set_cancel_token(const CancelToken* token) { cancel_token_ = token; }
 
   /// Polls the cancel token and the deadline. The cheap fast path for inner
-  /// loops: when no deadline is armed this is a few atomic loads, no clock
+  /// loops: when no deadline is armed this is one atomic load, no clock
   /// read; once latched it reads nothing.
   Status Check();
 
-  bool exhausted() const {
-    return latched_.load(std::memory_order_acquire);
-  }
+  bool exhausted() const { return !exhaustion_.ok(); }
   /// The latched exhaustion status; OK while the budget has room. Stable
   /// (never changes again) once exhausted() has returned true.
-  const Status& exhaustion() const {
-    if (latched_.load(std::memory_order_acquire)) return exhaustion_;
-    return ok_;
-  }
+  const Status& exhaustion() const { return exhaustion_; }
 
  private:
-  /// First-writer-wins latch; returns the (possibly pre-existing) latched
-  /// status.
-  Status Latch(Status status);
-
   Clock* clock_ = nullptr;
   const CancelToken* cancel_token_ = nullptr;
   int64_t deadline_micros_ = -1;  ///< Absolute; -1 = no deadline.
-
-  /// exhaustion_ is written exactly once, under latch_mutex_, before the
-  /// release store to latched_; after that it is immutable, so lock-free
-  /// readers that observed latched_ == true may alias it freely.
-  std::atomic<bool> latched_{false};
-  std::mutex latch_mutex_;
+  /// The first failing Check's status; OK until then.
   Status exhaustion_;
-  const Status ok_;
 };
 
 }  // namespace lcp

@@ -35,19 +35,8 @@ void ChaseConfig::GrowSlots() {
 }
 
 void ChaseConfig::EnsureIndexed() const {
-  // Double-checked: the fully-indexed fast path is one acquire load. The
-  // release store below pairs with it, so any reader that sees the updated
-  // watermark also sees the completed map writes.
-  if (indexed_up_to_.load(std::memory_order_acquire) == facts_.size()) return;
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  if (indexed_up_to_.load(std::memory_order_relaxed) == facts_.size()) return;
-  CatchUpPositionalIndexLocked();
-}
-
-void ChaseConfig::CatchUpPositionalIndexLocked() const {
-  for (size_t i = indexed_up_to_.load(std::memory_order_relaxed);
-       i < facts_.size(); ++i) {
-    const Fact& fact = facts_[i];
+  for (; indexed_up_to_ < facts_.size(); ++indexed_up_to_) {
+    const Fact& fact = facts_[indexed_up_to_];
     for (int32_t pos = 0; pos < static_cast<int32_t>(fact.terms.size());
          ++pos) {
       std::vector<int>& bucket =
@@ -57,10 +46,9 @@ void ChaseConfig::CatchUpPositionalIndexLocked() const {
         // the distinct-terms index.
         terms_at_[PosKey{fact.relation, pos}].push_back(fact.terms[pos]);
       }
-      bucket.push_back(static_cast<int>(i));
+      bucket.push_back(static_cast<int>(indexed_up_to_));
     }
   }
-  indexed_up_to_.store(facts_.size(), std::memory_order_release);
 }
 
 const std::vector<int>& ChaseConfig::FactsWith(RelationId relation,

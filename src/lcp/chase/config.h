@@ -1,12 +1,9 @@
 #ifndef LCP_CHASE_CONFIG_H_
 #define LCP_CHASE_CONFIG_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "lcp/chase/fact.h"
@@ -19,16 +16,6 @@ namespace lcp {
 /// insertion order preserved (facts are a proof log) and per-relation plus
 /// positional indexes for homomorphism search. Configurations are value
 /// types: search nodes copy them when branching.
-///
-/// Thread-safety contract: mutation (Add, copy/move assignment *onto* this
-/// object) requires exclusive access, like any value type. Const reads —
-/// including the lazily index-building probes FactsWith / TermsAt — are safe
-/// from any number of threads concurrently: the catch-up is guarded by a
-/// double-checked lock (an acquire/release watermark plus a build mutex), so
-/// a fully-indexed configuration costs one atomic load per probe and a
-/// shared configuration can serve concurrent read-only planners. Call
-/// PrepareForConcurrentReads() after the last Add to pay the build once,
-/// outside any contended section.
 class ChaseConfig {
  public:
   ChaseConfig() = default;
@@ -46,33 +33,12 @@ class ChaseConfig {
       by_relation_ = other.by_relation_;
       by_position_.clear();
       terms_at_.clear();
-      indexed_up_to_.store(0, std::memory_order_relaxed);
+      indexed_up_to_ = 0;
     }
     return *this;
   }
-  ChaseConfig(ChaseConfig&& other) noexcept
-      : facts_(std::move(other.facts_)),
-        slots_(std::move(other.slots_)),
-        by_relation_(std::move(other.by_relation_)),
-        by_position_(std::move(other.by_position_)),
-        terms_at_(std::move(other.terms_at_)),
-        indexed_up_to_(other.indexed_up_to_.load(std::memory_order_relaxed)) {
-    other.indexed_up_to_.store(0, std::memory_order_relaxed);
-  }
-  ChaseConfig& operator=(ChaseConfig&& other) noexcept {
-    if (this != &other) {
-      facts_ = std::move(other.facts_);
-      slots_ = std::move(other.slots_);
-      by_relation_ = std::move(other.by_relation_);
-      by_position_ = std::move(other.by_position_);
-      terms_at_ = std::move(other.terms_at_);
-      indexed_up_to_.store(
-          other.indexed_up_to_.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      other.indexed_up_to_.store(0, std::memory_order_relaxed);
-    }
-    return *this;
-  }
+  ChaseConfig(ChaseConfig&&) = default;
+  ChaseConfig& operator=(ChaseConfig&&) = default;
 
   /// Adds a fact; returns true if it was new.
   bool Add(const Fact& fact);
@@ -111,12 +77,6 @@ class ChaseConfig {
   /// Extensions smaller than this are cheaper to scan than to index-probe;
   /// the matcher (and other index users) fall back to FactsOf below it.
   static constexpr size_t kIndexProbeThreshold = 8;
-
-  /// Pre-build hook: brings the positional index fully up to date so that
-  /// subsequent concurrent const probes never contend on the build mutex.
-  /// Idempotent; call after the last Add when the configuration is about to
-  /// be shared read-only across threads.
-  void PrepareForConcurrentReads() const { EnsureIndexed(); }
 
   /// Multi-line dump for debugging/exploration logs.
   std::string ToString(const Schema& schema, const TermArena& arena) const;
@@ -175,13 +135,9 @@ class ChaseConfig {
   /// Doubles `slots_` (at least 16 slots) and re-inserts every fact.
   void GrowSlots();
 
-  /// Fast-path check + slow-path catch-up: returns once the positional index
-  /// covers every fact. One acquire load when already indexed; otherwise
-  /// takes index_mutex_, re-checks, and appends facts
+  /// Brings the positional index up to date: indexes facts
   /// [indexed_up_to_, facts_.size()).
   void EnsureIndexed() const;
-  /// The catch-up body; must be called with index_mutex_ held.
-  void CatchUpPositionalIndexLocked() const;
 
   static inline const std::vector<int> kNoFacts;
 
@@ -194,16 +150,11 @@ class ChaseConfig {
   std::vector<std::vector<int>> by_relation_;
   /// Positional index, built lazily: facts_[0, indexed_up_to_) are indexed.
   /// Mutable so that const probes can catch up after Adds and copies.
-  /// Concurrency: readers that observe indexed_up_to_ == facts_.size() with
-  /// acquire order see every map write the builder published with its
-  /// release store; writers only mutate under index_mutex_ (and mutation of
-  /// facts_ itself is exclusive by the value-type contract above).
   mutable std::unordered_map<PosTermKey, std::vector<int>, PosTermKeyHash>
       by_position_;
   mutable std::unordered_map<PosKey, std::vector<ChaseTermId>, PosKeyHash>
       terms_at_;
-  mutable std::atomic<size_t> indexed_up_to_{0};
-  mutable std::mutex index_mutex_;
+  mutable size_t indexed_up_to_ = 0;
 };
 
 }  // namespace lcp

@@ -1,26 +1,19 @@
 #include "lcp/chase/term_arena.h"
 
-#include <utility>
-
 namespace lcp {
 
 ChaseTermId TermArena::InternConstant(const Value& value) {
-  std::lock_guard<std::mutex> lock(mutate_mutex_);
   auto it = constant_ids_.find(value);
   if (it != constant_ids_.end()) return it->second;
-  size_t index = constants_.Append(value);
-  ChaseTermId id = static_cast<ChaseTermId>(-1 - index);
+  ChaseTermId id = -1 - static_cast<ChaseTermId>(constants_.size());
+  constants_.push_back(value);
   constant_ids_.emplace(value, id);
   return id;
 }
 
 ChaseTermId TermArena::NewNull(const std::string& base_name, int depth) {
-  std::lock_guard<std::mutex> lock(mutate_mutex_);
   ChaseTermId id = static_cast<ChaseTermId>(nulls_.size());
-  NullInfo info;
-  info.name = base_name + "_" + std::to_string(id);
-  info.depth = depth;
-  nulls_.Append(std::move(info));
+  nulls_.push_back(NullInfo{base_name + "_" + std::to_string(id), depth});
   return id;
 }
 

@@ -1,13 +1,12 @@
 #ifndef LCP_PLANNER_DOMINANCE_STORE_H_
 #define LCP_PLANNER_DOMINANCE_STORE_H_
 
-// Internal header: the sharded concurrent dominance store of the proof-search
-// driver. Not part of the public API.
+// Internal header: the dominance store of the proof-search driver. Not part
+// of the public API.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <shared_mutex>
+#include <utility>
 #include <vector>
 
 #include "lcp/chase/config.h"
@@ -43,48 +42,46 @@ struct DominanceProbe {
   size_t num_vars = 0;
 };
 
-/// Reader-mostly concurrent set of "dominator candidates": the
-/// configurations (plus cost, access count and signature) of every
-/// non-pruned node created so far, across all workers. prune_by_dominance
-/// asks, for a fresh child, whether any stored configuration with no higher
-/// cost and no higher access count admits a homomorphism of the child's
-/// dominance probe (§5, "Optimizations").
-///
-/// Concurrency contract:
-///  - Insert takes one shard's exclusive lock; IsDominated takes each
-///    shard's shared lock only long enough to copy out the entries that pass
-///    the cost, access and signature filters, then runs the (potentially
-///    slow) homomorphism checks lock-free against the copied shared_ptrs, so
-///    writers are never blocked behind a homomorphism check.
-///  - Stored configurations must be immutable. When other threads may read
-///    them, they must be prepared for concurrent reads
-///    (ChaseConfig::PrepareForConcurrentReads) before insertion.
-///  - Races are benign by construction: a check that misses a concurrently
-///    inserted dominator only *loses a prune* (the child is explored
-///    redundantly); it can never wrongly prune, because every entry it does
-///    see was fully published. This is exactly the soundness direction the
-///    search needs.
-class ConcurrentDominanceStore {
+/// The "dominator candidates" of one search: the configuration, cost,
+/// access count and signature of every node created so far.
+/// prune_by_dominance asks, for a fresh child, whether any stored
+/// configuration with no higher cost and no higher access count admits a
+/// homomorphism of the child's dominance probe (§5, "Optimizations").
+/// Stored configurations must not change afterwards.
+class DominanceStore {
  public:
-  /// `shard_count` is rounded up to a power of two.
-  explicit ConcurrentDominanceStore(int shard_count);
-
-  ConcurrentDominanceStore(const ConcurrentDominanceStore&) = delete;
-  ConcurrentDominanceStore& operator=(const ConcurrentDominanceStore&) = delete;
-
-  /// Publishes a node's configuration as a dominator candidate.
+  /// Records a node's configuration as a dominator candidate.
   void Insert(const DominanceSignature& signature, double cost, int accesses,
-              std::shared_ptr<const ChaseConfig> config);
+              std::shared_ptr<const ChaseConfig> config) {
+    entries_.push_back(Entry{signature, cost, accesses, std::move(config)});
+  }
 
   /// True if some stored entry with cost <= `cost`, accesses <= `accesses`
   /// and a signature containing `signature` admits a homomorphism of the
-  /// probe. `make_probe` runs at most once, and only when some entry passes
-  /// those filters.
-  bool IsDominated(
-      const DominanceSignature& signature, double cost, int accesses,
-      const std::function<const DominanceProbe&()>& make_probe) const;
+  /// probe `make_probe()` returns (a `const DominanceProbe&`). `make_probe`
+  /// runs at most once, and only when some entry passes those filters.
+  template <typename MakeProbe>
+  bool IsDominated(const DominanceSignature& signature, double cost,
+                   int accesses, MakeProbe&& make_probe) const {
+    const DominanceProbe* probe = nullptr;
+    for (const Entry& entry : entries_) {
+      // The dominator must also be able to afford every extension the child
+      // could (the access budget is a separate resource from cost).
+      if (entry.cost > cost || entry.accesses > accesses ||
+          !signature.SubsetOf(entry.signature)) {
+        continue;
+      }
+      if (probe == nullptr) probe = &make_probe();
+      if (HasHomomorphism(
+              probe->pattern, *entry.config,
+              std::vector<ChaseTermId>(probe->num_vars, kUnboundTerm))) {
+        return true;
+      }
+    }
+    return false;
+  }
 
-  size_t size() const;
+  size_t size() const { return entries_.size(); }
 
  private:
   struct Entry {
@@ -93,12 +90,8 @@ class ConcurrentDominanceStore {
     int accesses = 0;
     std::shared_ptr<const ChaseConfig> config;
   };
-  struct Shard {
-    mutable std::shared_mutex mutex;
-    std::vector<Entry> entries;
-  };
 
-  std::vector<Shard> shards_;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace search_internal

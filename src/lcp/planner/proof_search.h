@@ -51,13 +51,14 @@ struct SearchOptions {
   bool stop_at_first_plan = false;
   /// Record every successful plan, not just the cheapest.
   bool keep_all_plans = false;
-  /// Hard cap on created search nodes. Reaching it makes the search
-  /// *anytime*: Run returns the best plan found so far with
-  /// SearchOutcome::exhaustion set to kResourceExhausted.
+  /// Hard cap on created search nodes, the root included: a search creates
+  /// at most this many. Reaching it makes the search *anytime*: Run returns
+  /// the best plan found so far with SearchOutcome::exhaustion set to
+  /// kResourceExhausted.
   int max_nodes = 100000;
   /// Access methods the search must not use: candidates over these methods
-  /// are dropped at enumeration time, at every parallelism, so no returned
-  /// plan ever contains an excluded method. This is the planner half of
+  /// are dropped at enumeration time, so no returned plan ever contains an
+  /// excluded method. This is the planner half of
   /// source-health failover (DESIGN.md §10): the
   /// serving layer passes the quarantined-method mask here and proof search
   /// re-routes through live alternatives — the paper's many-sound-plans
@@ -69,31 +70,10 @@ struct SearchOptions {
   /// accessible copies, "Fire Inferred Accessible Rules Immediately").
   ChaseOptions root_chase;
   ChaseOptions closure_chase;
-  /// Record one human-readable line per node (Figure 1 style dumps).
-  /// Requires parallelism == 1: the log is an ordered trace of a
-  /// depth-first exploration, and a parallel exploration has no canonical
-  /// order — Run returns kInvalidArgument when both are requested.
+  /// Record one human-readable line per node (Figure 1 style dumps), in
+  /// depth-first exploration order.
   bool collect_exploration_log = false;
   CandidateOrder candidate_order = CandidateOrder::kDerivationDepth;
-  /// Number of search workers of the work-stealing driver: workers expand
-  /// nodes against a shared atomic incumbent bound (prune_by_cost uses the
-  /// global cheapest plan) and a sharded concurrent dominance store. 1 (the
-  /// default) runs it inline on the calling thread as a depth-first search
-  /// with deterministic node numbering, stats and plans, and with
-  /// exploration-log support. Guarantees of values > 1 versus 1:
-  ///  - Run to exhaustion (exhaustion.ok()), it finds the same optimal
-  ///    cost; the identity of the returned plan may differ when several
-  ///    plans tie or the exploration order changes which one is found
-  ///    first.
-  ///  - The anytime contract is preserved: on budget exhaustion or
-  ///    cancellation every worker winds down, all threads are joined before
-  ///    Run returns, and the outcome carries the best plan found so far.
-  ///  - Stats are coherent (merged after the workers quiesce), but
-  ///    nodes_created may overshoot max_nodes by at most `parallelism`
-  ///    (each worker checks the cap before, not atomically with, its next
-  ///    creation).
-  /// Values < 1 are treated as 1.
-  int parallelism = 1;
   /// Optional shared planning budget (wall-clock deadline + cancel token).
   /// The search checks it before every expansion and threads it into the
   /// root and per-node chase closures (overriding root_chase.budget and
@@ -168,13 +148,13 @@ class ProofSearch {
   /// be monotone if prune_by_cost is enabled.
   ProofSearch(const AccessibleSchema* accessible, const CostFunction* cost);
 
-  /// Runs the search for `query` (a CQ over the base schema). Const and
-  /// re-entrant: all search state (term arena, chase engine, node store)
-  /// lives in a per-call context, so one ProofSearch may serve concurrent
-  /// Run calls from multiple threads (the QueryService worker pool relies on
-  /// this), provided the accessible schema and cost function are not
-  /// mutated meanwhile. A Budget passed via `options` still belongs to one
-  /// call at a time.
+  /// Runs the search for `query` (a CQ over the base schema) on the calling
+  /// thread. Const and re-entrant: all search state (term arena, chase
+  /// engine, node store) lives in a per-call context, so one ProofSearch may
+  /// serve concurrent Run calls from multiple threads (the QueryService
+  /// worker pool relies on this), provided the accessible schema and cost
+  /// function are not mutated meanwhile. A Budget passed via `options`
+  /// belongs to one call at a time.
   Result<SearchOutcome> Run(const ConjunctiveQuery& query,
                             const SearchOptions& options) const;
 
@@ -185,12 +165,10 @@ class ProofSearch {
 
 /// Convenience wrapper: returns a (not necessarily optimal) plan for the
 /// query if one exists within the access budget — the effective content of
-/// Theorem 5 — or NOT_FOUND. `parallelism` > 1 searches with that many
-/// workers in first-plan mode: the first success stops the whole pool
-/// promptly (every other worker exits at its next poll point).
+/// Theorem 5 — or NOT_FOUND.
 Result<FoundPlan> FindAnyPlan(const AccessibleSchema& accessible,
                               const ConjunctiveQuery& query,
-                              int max_access_commands, int parallelism = 1);
+                              int max_access_commands);
 
 }  // namespace lcp
 

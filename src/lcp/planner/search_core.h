@@ -1,9 +1,9 @@
 #ifndef LCP_PLANNER_SEARCH_CORE_H_
 #define LCP_PLANNER_SEARCH_CORE_H_
 
-// Internal header: the node-expansion core of Algorithm 1 and the entry
-// point of its work-stealing driver (parallel_search.cc). Not part of the
-// public API — include lcp/planner/proof_search.h instead.
+// Internal header: the node-expansion core of Algorithm 1, which the driver
+// in proof_search.cc runs. Not part of the public API — include
+// lcp/planner/proof_search.h instead.
 
 #include <algorithm>
 #include <memory>
@@ -45,13 +45,9 @@ struct ProofStep {
 
 /// One node of the partial proof tree: a chase configuration over the
 /// accessible schema plus the proof that built it. The plan is read off the
-/// proof only when needed (SearchCore::ReadPlan).
-///
-/// Ownership under parallel search: a node is *owned* by exactly one worker
-/// at a time (hand-off goes through a work-stealing deque, which
-/// synchronizes); only the owner touches the mutable cursor/removed
-/// expansion state. The configuration is immutable once BuildChild
-/// returns, so the dominance store and thieves may read it concurrently.
+/// proof only when needed (SearchCore::ReadPlan). The configuration is
+/// immutable once BuildChild returns, so the dominance store may keep it;
+/// only the cursor and removed expansion state change afterwards.
 struct SearchNode {
   /// The number of nodes created before this node's build started. Ids
   /// strictly increase along every root-to-leaf path, so the table names
@@ -81,12 +77,6 @@ struct SearchNode {
 /// §4 proof-to-plan translation, the dominance signature and probe, and
 /// which prunings the cost function admits (IsAdditive). Pruning *decisions*
 /// and node bookkeeping stay in the driver.
-///
-/// Thread model: construction and InitRoot are single-threaded; afterwards
-/// every method is const and safe from concurrent workers (the arena it
-/// owns is internally synchronized; each worker passes its own ChaseEngine
-/// and SearchStats, and BuildChild/NextCandidate mutate only the node the
-/// calling worker owns).
 class SearchCore {
  public:
   SearchCore(const AccessibleSchema& acc, const CostFunction& cost,
@@ -96,8 +86,8 @@ class SearchCore {
   /// under the original constraints, schema/query constants marked
   /// accessible, the global candidate list, each candidate method's charge
   /// (under an additive cost), and the compiled InferredAccQ /
-  /// inferred-constraint patterns. Call exactly once, before any workers
-  /// start. Does not count the node — the driver owns node accounting.
+  /// inferred-constraint patterns. Call exactly once, before any other
+  /// method. Does not count the node — the driver owns node accounting.
   Result<SearchNode> InitRoot(ChaseEngine& engine, SearchStats& stats);
 
   /// Advances node.cursor past removed and non-fireable candidates; returns
@@ -124,9 +114,9 @@ class SearchCore {
   /// closure, proof step, cost. Under an additive cost the child costs its
   /// parent's cost plus its method's charge; otherwise the cost function
   /// prices the plan read off the child's proof. Returns the child without
-  /// making any pruning decision. Mutates only `parent` (which the caller
-  /// owns) and `stats` (the caller's). Errors propagate (typically a
-  /// budget-exhausted chase closure; drivers translate that into the
+  /// making any pruning decision. Mutates only `parent` and `stats` (besides
+  /// the nulls the closure mints). Errors propagate (typically a
+  /// budget-exhausted chase closure; the driver translates that into the
   /// anytime contract).
   Result<SearchNode> BuildChild(SearchNode& parent, int cand_index,
                                 int child_id, ChaseEngine& engine,
@@ -138,7 +128,7 @@ class SearchCore {
   /// Base facts are skipped: every node holds the root's base facts.
   DominanceSignature SignatureOf(const ChaseConfig& config) const;
 
-  /// A worker's reusable buffers for MakeDominanceProbe.
+  /// The driver's reusable buffers for MakeDominanceProbe.
   struct ProbeScratch {
     /// Flat null -> pattern variable table; all -1 between calls.
     std::vector<int> var_of;
@@ -221,14 +211,6 @@ class SearchCore {
   std::vector<ChaseTermId> query_assignment_template_;
   std::vector<ChaseTermId> free_var_terms_;
 };
-
-/// Algorithm 1 on the work-stealing driver (parallel_search.cc), inline on
-/// the calling thread at parallelism 1. collect_exploration_log requires
-/// parallelism 1 (the public entry point enforces it).
-Result<SearchOutcome> RunSearch(const AccessibleSchema& accessible,
-                                const CostFunction& cost,
-                                const ConjunctiveQuery& query,
-                                const SearchOptions& options);
 
 }  // namespace search_internal
 }  // namespace lcp

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <system_error>
 #include <unordered_set>
 
 #include "lcp/base/check.h"
@@ -204,14 +207,15 @@ Result<Atom> Schema::ParseAtom(const std::string& text) const {
         pos = end + 1;
       } else if (std::isdigit(static_cast<unsigned char>(text[pos])) ||
                  text[pos] == '-') {
-        size_t start = pos;
-        if (text[pos] == '-') ++pos;
-        while (pos < text.size() &&
-               std::isdigit(static_cast<unsigned char>(text[pos]))) {
-          ++pos;
+        int64_t number = 0;
+        const auto [end, ec] = std::from_chars(
+            text.data() + pos, text.data() + text.size(), number);
+        if (ec != std::errc()) {
+          return InvalidArgumentError(
+              StrCat("bad integer literal in atom: ", text));
         }
-        terms.push_back(Term::Const(
-            Value::Int(std::stoll(text.substr(start, pos - start)))));
+        pos = static_cast<size_t>(end - text.data());
+        terms.push_back(Term::Const(Value::Int(number)));
       } else if (IsIdentChar(text[pos])) {
         size_t start = pos;
         while (pos < text.size() && IsIdentChar(text[pos])) ++pos;

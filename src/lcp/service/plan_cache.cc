@@ -72,6 +72,13 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
     auto it = shard.map.find(fingerprint.key);
     if (it != shard.map.end()) {
       const CachedPlan& incumbent = *it->second->plan;
+      if (epoch < incumbent.epoch) {
+        // A search that began before an epoch change finished after a plan
+        // of the newer epoch was cached: keep that one, and let the caller
+        // serve its own plan uncached.
+        admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+        return entry;
+      }
       if (incumbent.epoch == epoch && incumbent.cost <= cost) {
         // Cost-aware admission: never replace a cheaper (or equally cheap)
         // plan of the same epoch with a costlier one. Refresh recency so the

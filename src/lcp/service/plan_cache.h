@@ -45,7 +45,9 @@ struct PlanCacheStats {
   uint64_t stale_misses = 0;       ///< Misses that dropped an old-epoch entry.
   uint64_t inserts = 0;            ///< New entries admitted.
   uint64_t replacements = 0;       ///< Inserts superseding a resident entry.
-  uint64_t admission_rejects = 0;  ///< Kept a cheaper same-epoch incumbent.
+  /// Inserts not admitted: the resident entry is a cheaper same-epoch plan
+  /// or a plan of a newer epoch.
+  uint64_t admission_rejects = 0;
   uint64_t evictions = 0;          ///< LRU capacity evictions.
   uint64_t invalidations = 0;      ///< Entries dropped by EvictBelowEpoch.
   /// Occupancy gauges (unlike the counters above, these take each shard's
@@ -72,7 +74,9 @@ struct PlanCacheStats {
 /// Admission is cost-aware: inserting a plan for a key that already holds a
 /// *cheaper* same-epoch plan is rejected (the incumbent is refreshed
 /// instead), so a budget-truncated anytime search can never clobber a
-/// better plan found by an earlier, luckier request.
+/// better plan found by an earlier, luckier request. An insert under an
+/// epoch older than the resident entry's is not admitted either: a search
+/// that outlived an epoch change must not evict a current plan.
 class PlanCache {
  public:
   struct Options {
@@ -98,8 +102,9 @@ class PlanCache {
 
   /// Inserts `plan` under (fingerprint, epoch), evicting the shard's LRU
   /// entry if at capacity. Returns the resident entry for the key after the
-  /// call: the new plan, or the kept cheaper same-epoch incumbent. `detour`
-  /// marks a failover plan (see CachedPlan::detour).
+  /// call: the new plan, or the kept cheaper same-epoch incumbent; an insert
+  /// older than the resident entry's epoch returns the new plan uncached.
+  /// `detour` marks a failover plan (see CachedPlan::detour).
   std::shared_ptr<const CachedPlan> Insert(const QueryFingerprint& fingerprint,
                                            uint64_t epoch, Plan plan,
                                            double cost, bool detour = false);

@@ -60,8 +60,7 @@ QueryService::QueryService(const AccessibleSchema* accessible,
       schema_fingerprint_(SchemaFingerprint(accessible->base())) {
   // Per-request budgets are armed in Serve; a caller-supplied budget in the
   // template would be shared across threads, which Budget forbids. Nothing
-  // reads the exploration log, and under parallel search it would fail every
-  // request with kInvalidArgument.
+  // reads the exploration log.
   options_.search.budget = nullptr;
   options_.search.collect_exploration_log = false;
   options_.execution.clock = clock_;

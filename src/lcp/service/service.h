@@ -64,15 +64,12 @@ struct ServiceOptions {
   /// Template for every planning episode, used as given except that
   /// `budget` is per-request (see planning_budget_micros) and
   /// `collect_exploration_log` is always off (the service never reads it).
-  ///  - `search.parallelism` is the proof-search workers per episode: the
-  ///    total planning thread count is num_workers * search.parallelism, so
-  ///    keep the product near the core count.
-  ///  - `search.optimize_plans`, on by default here, runs the plan-IR
-  ///    optimizer (plan/opt/, DESIGN.md §11) on every freshly planned query
-  ///    before cache admission, so warm hits serve pre-optimized plans and
-  ///    admission sees the optimized cost. It is validated per pass, can
-  ///    only lower cost, and its one-time latency is amortized over every
-  ///    hit.
+  /// Each episode's search runs on the worker that serves the request.
+  /// `search.optimize_plans`, on by default here, runs the plan-IR optimizer
+  /// (plan/opt/, DESIGN.md §11) on every freshly planned query before cache
+  /// admission, so warm hits serve pre-optimized plans and admission sees
+  /// the optimized cost. It is validated per pass, can only lower cost, and
+  /// its one-time latency is amortized over every hit.
   SearchOptions search;
   /// Template for every execution. Its `clock` is always the service clock
   /// (`clock` below). `execution.engine` selects the execution engine for

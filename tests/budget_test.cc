@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
-#include <vector>
 
 #include "lcp/base/clock.h"
 #include "lcp/chase/engine.h"
@@ -272,41 +271,6 @@ TEST(AnytimeSearchTest, DeadlineReturnsBestSoFarOnVirtualTime) {
       << "no deadline produced a budget-exhausted outcome carrying a plan";
   EXPECT_TRUE(saw_completion)
       << "search never ran to completion within the deadline sweep";
-}
-
-TEST(BudgetConcurrencyTest, FirstLatchWinsUnderContention) {
-  // A token trip racing a deadline expiry, with every thread polling:
-  // exactly one status latches, and every later check reports that same
-  // status.
-  SharedVirtualClock clock;
-  CancelToken token;
-  Budget budget;
-  budget.SetDeadline(&clock, 50);
-  budget.set_cancel_token(&token);
-  constexpr int kThreads = 6;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&budget, &clock, &token, t] {
-      if (t == 0) {
-        token.Cancel(StatusCode::kCancelled);
-      } else if (t == 1) {
-        clock.Advance(100);
-      } else {
-        for (int i = 0; i < 100; ++i) (void)budget.Check();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  (void)budget.Check();
-  ASSERT_TRUE(budget.exhausted());
-  Status latched = budget.exhaustion();
-  EXPECT_TRUE(latched.code() == StatusCode::kCancelled ||
-              latched.code() == StatusCode::kDeadlineExceeded)
-      << latched;
-  // Stable: later checks return the identical latched status.
-  EXPECT_EQ(budget.Check().code(), latched.code());
-  EXPECT_EQ(budget.Check().message(), latched.message());
-  EXPECT_EQ(budget.exhaustion().code(), latched.code());
 }
 
 TEST(BudgetConcurrencyTest, CancelTokenTripsConcurrentChargers) {

@@ -128,6 +128,28 @@ TEST(PlanCacheTest, NewEpochInsertReplacesStaleResident) {
   EXPECT_EQ(resident->epoch, 2u);
 }
 
+TEST(PlanCacheTest, OlderEpochInsertKeepsNewerResident) {
+  // A search that began before an epoch change can finish after a plan of
+  // the new epoch was cached: its late insert must not evict that plan.
+  PlanCache cache(SingleShard(4));
+  QueryFingerprint fp = Fp(1, "q");
+  cache.Insert(fp, 2, NamedPlan("current"), 10.0);
+  auto late = cache.Insert(fp, 1, NamedPlan("late"), 1.0);
+  // The late request still serves the plan it found, uncached.
+  ASSERT_NE(late, nullptr);
+  EXPECT_EQ(late->plan.output_table, "late");
+  EXPECT_EQ(late->epoch, 1u);
+
+  auto hit = cache.Lookup(fp, 2);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->plan.output_table, "current");
+  PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.admission_rejects, 1u);
+  EXPECT_EQ(stats.replacements, 0u);
+  EXPECT_EQ(stats.stale_misses, 0u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(PlanCacheTest, EvictBelowEpoch) {
   PlanCache cache(SingleShard(8));
   cache.Insert(Fp(1, "a"), 1, NamedPlan("a"), 1.0);

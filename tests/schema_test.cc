@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "lcp/schema/parser.h"
 
 namespace lcp {
@@ -101,6 +104,26 @@ TEST(ParserTest, ParseAtomErrors) {
   EXPECT_FALSE(schema.ParseAtom("R(x").ok());        // unterminated
   EXPECT_FALSE(schema.ParseAtom("R(\"x)").ok());     // unterminated string
   EXPECT_FALSE(schema.ParseAtom("(x)").ok());        // missing name
+}
+
+TEST(ParserTest, BadIntegerLiteralIsInvalidArgument) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("R", 1).ok());
+  ASSERT_TRUE(schema.AddRelation("S", 1).ok());
+  for (const char* text :
+       {"Q() :- R(-)", "Q() :- R(99999999999999999999)", "Q() :- R(--1)"}) {
+    auto query = ParseQuery(schema, text);
+    ASSERT_FALSE(query.ok()) << text;
+    EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  auto tgd = ParseTgd(schema, "R(-) -> S(x)");
+  ASSERT_FALSE(tgd.ok());
+  EXPECT_EQ(tgd.status().code(), StatusCode::kInvalidArgument);
+
+  auto min = ParseQuery(schema, "Q() :- R(-9223372036854775808)");
+  ASSERT_TRUE(min.ok()) << min.status();
+  EXPECT_EQ(min->atoms[0].terms[0].constant(),
+            Value::Int(std::numeric_limits<int64_t>::min()));
 }
 
 TEST(ParserTest, ParseZeroArityAtom) {

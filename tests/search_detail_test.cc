@@ -319,8 +319,8 @@ TEST(SearchDetailTest, CandidateOrderDoesNotChangeTheOptimum) {
 }
 
 TEST(DominanceStoreTest, SignatureFilterMatchesBruteForceScan) {
-  using search_internal::ConcurrentDominanceStore;
   using search_internal::DominanceSignature;
+  using search_internal::DominanceStore;
   using search_internal::SearchCore;
   // Random configurations over the telephone schema's accessible copies:
   // each one extends a random earlier one, so many pairs are dominated
@@ -360,7 +360,7 @@ TEST(DominanceStoreTest, SignatureFilterMatchesBruteForceScan) {
   std::vector<Node> nodes;
   nodes.reserve(kNodes);  // `stored` points into it.
   std::vector<const Node*> stored;
-  ConcurrentDominanceStore store(4);
+  DominanceStore store;
   SearchCore::ProbeScratch scratch;
   int dominated = 0;
   int filtered_out = 0;

@@ -1,20 +1,18 @@
-// Parallel proof search: differential equivalence against one worker and
-// against the search with all pruning off, lifecycle/budget invariants, and
-// the knobs' documented semantics.
+// Proof search: the default pruning against the search with all pruning
+// off, and the driver's lifecycle and budget contracts (exact node cap,
+// pre-expired deadline, cross-thread cancellation, first-plan stop,
+// keep_all_plans).
 //
-// The load-bearing tests are the randomized differential suites: for seeded
-// scenarios, the driver at 1, 2 and 4 workers, all run to exhaustion, must
-// report the same optimal plan cost (plan identity may differ — ties and
-// exploration order are not canonical under work stealing); and on seeded
-// random schemas the default pruning (dominance, sleep sets, the cost bound
-// and the remaining-cost bound) must find the same plan existence and
-// optimal cost as the search with every pruning off.
-// LCP_PARALLEL_STRESS_ITERS scales the seed counts (CI stress/TSan jobs).
+// The load-bearing test is the randomized differential: on seeded random
+// schemas the default pruning (dominance, sleep sets, the cost bound and
+// the remaining-cost bound) must find the same plan existence and optimal
+// cost as the search with every pruning off. LCP_SEARCH_STRESS_ITERS scales
+// its case count (CI stress/TSan jobs).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <random>
@@ -37,7 +35,7 @@ namespace lcp {
 namespace {
 
 int StressIters(int default_iters) {
-  if (const char* env = std::getenv("LCP_PARALLEL_STRESS_ITERS")) {
+  if (const char* env = std::getenv("LCP_SEARCH_STRESS_ITERS")) {
     return std::max(1, std::atoi(env));
   }
   return default_iters;
@@ -51,90 +49,6 @@ Result<SearchOutcome> RunScenario(const Scenario& scenario,
   SimpleCostFunction cost(&accessible->base());
   ProofSearch search(&*accessible, &cost);
   return search.Run(scenario.query, options);
-}
-
-/// Runs one scenario sequentially and with 2 and 4 workers; checks that all
-/// three exhaust the space and agree on the optimal cost (or all find no
-/// plan). Fills `sequential_out` (if non-null) for extra assertions.
-void ExpectParallelAgreesWithSequential(const Scenario& scenario,
-                                        SearchOptions options,
-                                        SearchOutcome* sequential_out =
-                                            nullptr) {
-  options.parallelism = 1;
-  auto sequential = RunScenario(scenario, options);
-  ASSERT_TRUE(sequential.ok()) << sequential.status();
-  EXPECT_TRUE(sequential->exhaustion.ok()) << sequential->exhaustion;
-  for (int workers : {2, 4}) {
-    options.parallelism = workers;
-    auto parallel = RunScenario(scenario, options);
-    ASSERT_TRUE(parallel.ok()) << parallel.status();
-    EXPECT_TRUE(parallel->exhaustion.ok()) << parallel->exhaustion;
-    ASSERT_EQ(sequential->best.has_value(), parallel->best.has_value())
-        << scenario.name << " with " << workers << " workers";
-    if (sequential->best.has_value()) {
-      EXPECT_DOUBLE_EQ(sequential->best->cost, parallel->best->cost)
-          << scenario.name << " with " << workers << " workers";
-    }
-    // Stats must be coherent: every worker's counters merged, no charge
-    // lost. Expanding at least as many nodes as the plan has accesses is
-    // the weakest sanity floor; the real check is that the counters are
-    // consistent with each other.
-    EXPECT_GE(parallel->stats.nodes_expanded, 0);
-    EXPECT_GE(parallel->stats.nodes_created, 1);
-    if (parallel->best.has_value()) {
-      EXPECT_GE(parallel->stats.successes, 1);
-    }
-  }
-  if (sequential_out != nullptr) *sequential_out = std::move(*sequential);
-}
-
-TEST(ParallelSearchTest, PaperScenariosAgree) {
-  for (bool boolean_query : {false, true}) {
-    auto scenario = MakeProfinfoScenario(boolean_query);
-    ASSERT_TRUE(scenario.ok());
-    SearchOutcome outcome;
-    ExpectParallelAgreesWithSequential(*scenario, SearchOptions{}, &outcome);
-    EXPECT_TRUE(outcome.best.has_value());
-  }
-  auto telephone = MakeTelephoneScenario();
-  ASSERT_TRUE(telephone.ok());
-  ExpectParallelAgreesWithSequential(*telephone, SearchOptions{});
-}
-
-TEST(ParallelSearchTest, DifferentialRandomizedScenarios) {
-  // >= 100 scenarios by default: `iters` rounds of 2 scenarios, each
-  // compared across three parallelism levels.
-  const int iters = StressIters(50);
-  std::mt19937 rng(20260806);
-  for (int iter = 0; iter < iters; ++iter) {
-    // Multi-source with randomized access costs: cost pruning and dominance
-    // both bite, and the optimal source choice is seed-dependent.
-    int num_sources = 2 + static_cast<int>(rng() % 4);
-    std::vector<double> costs(num_sources);
-    std::uniform_real_distribution<double> cost_dist(0.5, 8.0);
-    for (double& c : costs) c = cost_dist(rng);
-    double profinfo_cost = cost_dist(rng);
-    auto multi =
-        MakeMultiSourceScenario(num_sources, costs.data(), profinfo_cost);
-    ASSERT_TRUE(multi.ok());
-    SearchOptions options;
-    options.max_access_commands = 2 + static_cast<int>(rng() % 3);
-    options.candidate_order = (rng() % 2 == 0)
-                                  ? CandidateOrder::kDerivationDepth
-                                  : CandidateOrder::kFreeAccessFirst;
-    options.prune_by_cost = rng() % 4 != 0;  // Mostly on, sometimes off.
-    options.keep_all_plans = rng() % 2 == 0;
-    ExpectParallelAgreesWithSequential(*multi, options);
-
-    // Chain scenario: plans need several dependent accesses, so parallel
-    // workers hand partially-expanded ancestors back and forth.
-    auto chain = MakeChainScenario(1 + static_cast<int>(rng() % 4));
-    ASSERT_TRUE(chain.ok());
-    SearchOptions chain_options;
-    chain_options.max_access_commands = 3 + static_cast<int>(rng() % 4);
-    chain_options.candidate_order = options.candidate_order;
-    ExpectParallelAgreesWithSequential(*chain, chain_options);
-  }
 }
 
 /// A seeded random schema and query for the all-pruning-off differential,
@@ -238,11 +152,11 @@ RandomCase MakeRandomCase(std::mt19937& rng) {
   return c;
 }
 
-TEST(ParallelSearchTest, DefaultPruningMatchesAllOffSearch) {
+TEST(SearchPruningTest, DefaultPruningMatchesAllOffSearch) {
   // Dominance, sleep sets, cost pruning and the remaining-cost bound may
   // only skip work: the defaults must find a plan exactly when the search
-  // with every pruning off does, at the same optimal cost, at 1 and 4
-  // workers, with cost pruning and keep_all_plans toggled, under the
+  // with every pruning off does, at the same optimal cost, with cost
+  // pruning and keep_all_plans toggled, under the
   // additive simple cost and the non-additive cardinality cost. Every plan
   // either search returns must be well-formed and cost exactly what the
   // search charged for it: the per-access charges the search sums and the
@@ -299,30 +213,27 @@ TEST(ParallelSearchTest, DefaultPruningMatchesAllOffSearch) {
       if (!reference->exhaustion.ok()) continue;
       ++compared;
       check_plans(*reference, StrCat(where, " [all pruning off]"));
-      for (int workers : {1, 4}) {
-        for (bool prune_by_cost : {true, false}) {
-          for (bool keep_all_plans : {false, true}) {
-            SearchOptions options;
-            options.max_access_commands = c.max_access_commands;
-            options.candidate_order = c.order;
-            options.parallelism = workers;
-            options.prune_by_cost = prune_by_cost;
-            options.keep_all_plans = keep_all_plans;
-            auto outcome = search.Run(c.query, options);
-            ASSERT_TRUE(outcome.ok()) << where << ": " << outcome.status();
-            ASSERT_TRUE(outcome->exhaustion.ok())
-                << where << ": " << outcome->exhaustion;
-            const std::string variant =
-                StrCat(where, " [workers=", workers, " prune_by_cost=",
-                       prune_by_cost, " keep_all_plans=", keep_all_plans, "]");
-            ASSERT_EQ(reference->best.has_value(), outcome->best.has_value())
+      for (bool prune_by_cost : {true, false}) {
+        for (bool keep_all_plans : {false, true}) {
+          SearchOptions options;
+          options.max_access_commands = c.max_access_commands;
+          options.candidate_order = c.order;
+          options.prune_by_cost = prune_by_cost;
+          options.keep_all_plans = keep_all_plans;
+          auto outcome = search.Run(c.query, options);
+          ASSERT_TRUE(outcome.ok()) << where << ": " << outcome.status();
+          ASSERT_TRUE(outcome->exhaustion.ok())
+              << where << ": " << outcome->exhaustion;
+          const std::string variant =
+              StrCat(where, " [prune_by_cost=", prune_by_cost,
+                     " keep_all_plans=", keep_all_plans, "]");
+          ASSERT_EQ(reference->best.has_value(), outcome->best.has_value())
+              << variant;
+          if (reference->best.has_value()) {
+            EXPECT_DOUBLE_EQ(reference->best->cost, outcome->best->cost)
                 << variant;
-            if (reference->best.has_value()) {
-              EXPECT_DOUBLE_EQ(reference->best->cost, outcome->best->cost)
-                  << variant;
-            }
-            check_plans(*outcome, variant);
           }
+          check_plans(*outcome, variant);
         }
       }
     }
@@ -332,45 +243,23 @@ TEST(ParallelSearchTest, DefaultPruningMatchesAllOffSearch) {
   EXPECT_GE(compared, iters);
 }
 
-TEST(ParallelSearchTest, ExplorationLogRejectedWhenParallel) {
-  auto scenario = MakeProfinfoScenario(true);
-  ASSERT_TRUE(scenario.ok());
-  SearchOptions options;
-  options.parallelism = 2;
-  options.collect_exploration_log = true;
-  auto outcome = RunScenario(*scenario, options);
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
-  // parallelism == 1 keeps full log support.
-  options.parallelism = 1;
-  auto sequential = RunScenario(*scenario, options);
-  ASSERT_TRUE(sequential.ok());
-  EXPECT_FALSE(sequential->exploration_log.empty());
-}
-
-TEST(ParallelSearchTest, NodeCapOvershootBoundedByParallelism) {
+TEST(SearchDriverTest, NodeCapIsExact) {
   auto scenario = MakeMultiSourceScenario(6);
   ASSERT_TRUE(scenario.ok());
   SearchOptions options;
-  options.parallelism = 4;
   options.max_nodes = 10;
   options.prune_by_cost = false;
   options.prune_by_dominance = false;
   auto outcome = RunScenario(*scenario, options);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_EQ(outcome->exhaustion.code(), StatusCode::kResourceExhausted);
-  EXPECT_GE(outcome->stats.nodes_created, options.max_nodes);
-  // Each worker checks the cap before its next creation, so the documented
-  // overshoot bound is `parallelism` nodes.
-  EXPECT_LE(outcome->stats.nodes_created,
-            options.max_nodes + options.parallelism);
+  EXPECT_EQ(outcome->stats.nodes_created, options.max_nodes);
 }
 
-TEST(ParallelSearchTest, PreExpiredDeadlineYieldsAnytimeOutcome) {
+TEST(SearchDriverTest, PreExpiredDeadlineYieldsAnytimeOutcome) {
   auto scenario = MakeMultiSourceScenario(4);
   ASSERT_TRUE(scenario.ok());
   SearchOptions options;
-  options.parallelism = 4;
   Budget budget;
   SystemClock clock;
   budget.SetDeadline(&clock, -1);
@@ -381,15 +270,15 @@ TEST(ParallelSearchTest, PreExpiredDeadlineYieldsAnytimeOutcome) {
   EXPECT_FALSE(outcome->best.has_value());
 }
 
-TEST(ParallelSearchTest, CrossThreadCancellationStopsAllWorkers) {
-  // A deliberately large space (no pruning, deep access budget) so the
-  // search is still running when the cancel lands; if the machine is fast
-  // enough to finish first, the test still checks the lifecycle contract
-  // (Run returned with all workers joined and a coherent outcome).
+TEST(SearchDriverTest, CrossThreadCancellationStopsTheSearch) {
+  // A cancel from another thread landing in a running search, the path the
+  // service's Cancel takes. A deliberately large space (no pruning, deep
+  // access budget) keeps the search running when the cancel lands; if the
+  // machine is fast enough to finish first, the test still checks that Run
+  // returned a coherent outcome.
   auto scenario = MakeMultiSourceScenario(9);
   ASSERT_TRUE(scenario.ok());
   SearchOptions options;
-  options.parallelism = 4;
   options.max_access_commands = 9;
   options.prune_by_cost = false;
   options.prune_by_dominance = false;
@@ -409,7 +298,7 @@ TEST(ParallelSearchTest, CrossThreadCancellationStopsAllWorkers) {
   }
 }
 
-TEST(ParallelSearchTest, FirstPlanModeStopsWorkersPromptly) {
+TEST(SearchDriverTest, FirstPlanModeStopsPromptly) {
   auto scenario = MakeMultiSourceScenario(6);
   ASSERT_TRUE(scenario.ok());
 
@@ -420,35 +309,20 @@ TEST(ParallelSearchTest, FirstPlanModeStopsWorkersPromptly) {
   ASSERT_TRUE(full->best.has_value());
 
   SearchOptions first;
-  first.parallelism = 4;
   first.stop_at_first_plan = true;
   first.prune_by_cost = false;
   auto outcome = RunScenario(*scenario, first);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   ASSERT_TRUE(outcome->best.has_value());
-  // The first success raises the stop flag; every worker exits at its next
-  // poll point, so total expansions stay well below the exhaustive count.
+  // The first success stops the search, so expansions stay well below the
+  // exhaustive count.
   EXPECT_LT(outcome->stats.nodes_expanded, full->stats.nodes_expanded / 2);
 }
 
-TEST(ParallelSearchTest, FindAnyPlanParallel) {
-  auto scenario = MakeProfinfoScenario(false);
-  ASSERT_TRUE(scenario.ok());
-  auto accessible = AccessibleSchema::Build(*scenario->schema,
-                                            AccessibleVariant::kStandard);
-  ASSERT_TRUE(accessible.ok());
-  auto found =
-      FindAnyPlan(*accessible, scenario->query, /*max_access_commands=*/4,
-                  /*parallelism=*/4);
-  ASSERT_TRUE(found.ok()) << found.status();
-  EXPECT_GE(found->plan.NumAccessCommands(), 1);
-}
-
-TEST(ParallelSearchTest, KeepAllPlansBestIsCheapest) {
+TEST(SearchDriverTest, KeepAllPlansBestIsCheapest) {
   auto scenario = MakeMultiSourceScenario(5);
   ASSERT_TRUE(scenario.ok());
   SearchOptions options;
-  options.parallelism = 4;
   options.keep_all_plans = true;
   options.prune_by_cost = false;
   auto outcome = RunScenario(*scenario, options);
@@ -460,17 +334,6 @@ TEST(ParallelSearchTest, KeepAllPlansBestIsCheapest) {
     min_cost = std::min(min_cost, plan.cost);
   }
   EXPECT_DOUBLE_EQ(outcome->best->cost, min_cost);
-}
-
-TEST(ParallelSearchTest, ParallelismBelowOneRunsSequentially) {
-  auto scenario = MakeProfinfoScenario(true);
-  ASSERT_TRUE(scenario.ok());
-  SearchOptions options;
-  options.parallelism = 0;
-  options.collect_exploration_log = true;  // Only legal sequentially.
-  auto outcome = RunScenario(*scenario, options);
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_FALSE(outcome->exploration_log.empty());
 }
 
 }  // namespace
