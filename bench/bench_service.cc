@@ -1,7 +1,7 @@
 // Experiment E12: the concurrent query service layer. Three questions:
 //
-//   BM_ServicePlanCold     — per-request cost with the plan cache disabled:
-//                            every request pays a full proof search.
+//   BM_ServicePlanCold     — per-request cost when every request skips the
+//                            plan cache: each pays a full proof search.
 //   BM_ServicePlanWarm     — the same requests against a warm cache: one
 //                            fingerprint + one sharded probe. The cold/warm
 //                            ratio is the amortization headline
@@ -126,16 +126,18 @@ constexpr int kPlanBatch = 64;
 
 /// Drives one iteration's worth of plan-only requests through the pipeline
 /// (batch-submitted, so the condvar hand-off amortizes like in a loaded
-/// server); returns false on any failure.
+/// server); returns false on any failure. `skip_cache` makes every request
+/// re-plan.
 bool DrainPlanBatch(QueryService& service,
                     const std::vector<ConjunctiveQuery>& queries,
-                    size_t& which) {
+                    size_t& which, bool skip_cache = false) {
   std::vector<std::future<QueryResponse>> futures;
   futures.reserve(kPlanBatch);
   for (int i = 0; i < kPlanBatch; ++i) {
     QueryRequest request;
     request.query = queries[which++ % queries.size()];
     request.execute = false;
+    request.skip_cache = skip_cache;
     futures.push_back(service.Submit(std::move(request)).future);
   }
   for (auto& future : futures) {
@@ -150,11 +152,10 @@ void BM_ServicePlanCold(benchmark::State& state) {
   PlanWorkload w;
   ServiceOptions options;
   options.num_workers = 1;
-  options.cache_enabled = false;
   QueryService service(w.accessible.get(), w.cost.get(), nullptr, options);
   size_t which = 0;
   for (auto _ : state) {
-    if (!DrainPlanBatch(service, w.queries, which)) {
+    if (!DrainPlanBatch(service, w.queries, which, /*skip_cache=*/true)) {
       state.SkipWithError("planning failed");
       return;
     }

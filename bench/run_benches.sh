@@ -33,10 +33,11 @@
 # below when python3 is available (target: <= 5%).
 #
 # BENCH_service.json covers the concurrent query service: per-request plan
-# cost cold (cache disabled) vs warm (BM_ServicePlanCold / BM_ServicePlanWarm
-# — the cache amortization ratio, target >= 10x), end-to-end throughput
-# with 1 / 2 / 4 workers (BM_ServiceThroughput, thread-scaling of the
-# serving path), and overload behavior against a bounded queue
+# cost cold (every request skips the cache) vs warm (BM_ServicePlanCold /
+# BM_ServicePlanWarm — the cache amortization ratio, target >= 10x),
+# end-to-end throughput with 1 / 2 / 4 workers (BM_ServiceThroughput,
+# thread-scaling of the serving path), and overload behavior against a
+# bounded queue
 # (BM_ServiceOverload: goodput, shed rate, and the p50/p99 latency of a
 # rejected Submit — the fast-fail path should stay in the microseconds).
 # It also covers the PR-9 robustness features: BM_ServiceCoalescedBurst

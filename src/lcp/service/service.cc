@@ -75,7 +75,7 @@ QueryService::QueryService(const AccessibleSchema* accessible,
   // very first request already probes a warmed cache. Corruption of any kind
   // degrades to a cold start (counters record what was rejected).
   LoadSnapshotAtStartup();
-  if (!options_.snapshot_path.empty() && options_.cache_enabled &&
+  if (!options_.snapshot_path.empty() &&
       options_.snapshot_interval_micros > 0) {
     next_snapshot_at_.store(
         clock_->NowMicros() + options_.snapshot_interval_micros,
@@ -215,13 +215,11 @@ uint64_t QueryService::RefreshSchema() {
     uint64_t next = epoch_.load(std::memory_order_relaxed) + 1;
     epoch_.store(next, std::memory_order_release);
     epoch_bumps_.fetch_add(1, std::memory_order_relaxed);
-    // Entries are keyed by the combined serving epoch, whose high bits are
-    // the schema epoch: everything below the new schema epoch's band is
-    // stale regardless of availability epoch.
+    // The serving epoch's high bits are the schema epoch: every entry and
+    // flight below the new schema epoch's band is stale whatever its
+    // availability epoch. Drop the entries, and wake the flights' followers
+    // so each re-plans under the new epoch.
     cache_.EvictBelowEpoch(next << kAvailabilityEpochBits);
-    // In-flight coalitions were searching for a dead epoch's plan: wake
-    // their followers so each re-plans under the new epoch.
-    coalescer_.InvalidateBelow(next << kAvailabilityEpochBits);
   }
   return epoch_.load(std::memory_order_relaxed);
 }
@@ -232,7 +230,6 @@ uint64_t QueryService::BumpEpoch() {
   epoch_.store(next, std::memory_order_release);
   epoch_bumps_.fetch_add(1, std::memory_order_relaxed);
   cache_.EvictBelowEpoch(next << kAvailabilityEpochBits);
-  coalescer_.InvalidateBelow(next << kAvailabilityEpochBits);
   return next;
 }
 
@@ -293,7 +290,7 @@ ServiceStats QueryService::SnapshotStats() const {
   s.coalesced_leaders = coalesced_leaders_.load(std::memory_order_relaxed);
   s.coalesced_followers = coalesced_followers_.load(std::memory_order_relaxed);
   s.coalition_handoffs = coalition_handoffs_.load(std::memory_order_relaxed);
-  s.coalesced_waiting = coalescer_.waiting();
+  s.coalesced_waiting = cache_.waiting();
   s.queue_micros = queue_micros_.load(std::memory_order_relaxed);
   s.plan_micros = plan_micros_.load(std::memory_order_relaxed);
   s.exec_micros = exec_micros_.load(std::memory_order_relaxed);
@@ -302,7 +299,7 @@ ServiceStats QueryService::SnapshotStats() const {
 }
 
 void QueryService::LoadSnapshotAtStartup() {
-  if (options_.snapshot_path.empty() || !options_.cache_enabled) return;
+  if (options_.snapshot_path.empty()) return;
   const SnapshotLoadStats loaded = LoadSnapshotFile(
       options_.snapshot_path, schema_fingerprint_.load(std::memory_order_relaxed),
       accessible_->base(), ServingEpoch(epoch_.load(std::memory_order_relaxed)),
@@ -324,7 +321,7 @@ void QueryService::LoadSnapshotAtStartup() {
 }
 
 bool QueryService::WriteSnapshot() {
-  if (options_.snapshot_path.empty() || !options_.cache_enabled) return false;
+  if (options_.snapshot_path.empty()) return false;
   // One writer at a time; the rename at the end is atomic, so a reader (a
   // restarting process) always sees a complete file.
   std::lock_guard<std::mutex> lock(snapshot_mutex_);
@@ -406,10 +403,7 @@ void QueryService::Shutdown(ShutdownMode mode) {
   // so an explicit abort is never overruled by a later Shutdown() call.
   if (!final_snapshot_written_) {
     final_snapshot_written_ = true;
-    if (mode == ShutdownMode::kDrain && !options_.snapshot_path.empty() &&
-        options_.cache_enabled) {
-      WriteSnapshot();
-    }
+    if (mode == ShutdownMode::kDrain) WriteSnapshot();
   }
 }
 
@@ -555,116 +549,40 @@ std::shared_ptr<const CachedPlan> QueryService::PlanAndCache(
             std::memory_order_relaxed);
       }
     }
-    if (options_.cache_enabled) {
-      // Offered even for skip_cache requests: a freshly planned result can
-      // still serve future hits. Cost-aware admission keeps the cheapest.
-      return cache_.Insert(fingerprint, serving_epoch,
-                           std::move(outcome->best->plan),
-                           outcome->best->cost, detour);
-    }
-    return std::make_shared<const CachedPlan>(
-        CachedPlan{fingerprint, serving_epoch, std::move(outcome->best->plan),
-                   outcome->best->cost, detour});
+    // Offered even for skip_cache requests: a freshly planned result can
+    // still serve future hits. Cost-aware admission keeps the cheapest.
+    return cache_.Insert(fingerprint, serving_epoch,
+                         std::move(outcome->best->plan), outcome->best->cost,
+                         detour);
   }
 }
 
-std::shared_ptr<const CachedPlan> QueryService::PlanCoalesced(
+std::shared_ptr<const CachedPlan> QueryService::FindOrPlan(
     const Job& job, const QueryFingerprint& fingerprint,
     uint64_t& serving_epoch, QueryResponse& response) {
-  if (!options_.coalescing_enabled || job.request.skip_cache) {
+  if (job.request.skip_cache || !options_.coalescing_enabled) {
+    // Solo: a skip_cache request always searches, and without coalescing
+    // every miss does.
+    std::shared_ptr<const CachedPlan> cached;
+    if (!job.request.skip_cache) {
+      cached = cache_.Lookup(fingerprint, serving_epoch);
+    }
+    if (cached != nullptr) {
+      response.cache_hit = true;
+      return cached;
+    }
     return PlanAndCache(job, fingerprint, serving_epoch,
                         /*allow_primary_fallback=*/true, response);
   }
-  // Outer loop: one iteration per coalition joined. Re-entered only when an
-  // epoch bump invalidated the previous coalition mid-wait; the bound is a
-  // backstop against pathological epoch churn, after which the request
-  // plans solo rather than spinning.
-  for (int round = 0; round < 16; ++round) {
-    RequestCoalescer::Ticket ticket =
-        coalescer_.JoinOrLead(fingerprint.key, serving_epoch);
-    bool act_as_leader = ticket.leader;
-    bool invalidated = false;
-    while (!act_as_leader) {
-      RequestCoalescer::WaitResult wait =
-          coalescer_.Wait(ticket.flight, [&]() {
-            if (job.cancel != nullptr && job.cancel->cancelled()) return true;
-            return job.deadline_at >= 0 &&
-                   clock_->NowMicros() >= job.deadline_at;
-          });
-      switch (wait.outcome) {
-        case RequestCoalescer::Outcome::kPlan:
-          // The leader's search fed this request; the follower now executes
-          // its own instance of the shared plan under its own deadline.
-          coalesced_followers_.fetch_add(1, std::memory_order_relaxed);
-          return wait.plan;
-        case RequestCoalescer::Outcome::kStatus:
-          // A definite property of the query (e.g. no plan exists), not of
-          // the leader's request: honest to propagate without re-searching.
-          coalesced_followers_.fetch_add(1, std::memory_order_relaxed);
-          response.status = wait.status;
-          return nullptr;
-        case RequestCoalescer::Outcome::kDetached:
-          response.status =
-              (job.cancel != nullptr && job.cancel->cancelled())
-                  ? Status(job.cancel->code(),
-                           "request cancelled while waiting for coalesced "
-                           "plan")
-                  : DeadlineExceededError(
-                        "deadline expired while waiting for coalesced plan");
-          return nullptr;
-        case RequestCoalescer::Outcome::kInvalidated:
-          invalidated = true;
-          break;
-        case RequestCoalescer::Outcome::kPromoted:
-          coalition_handoffs_.fetch_add(1, std::memory_order_relaxed);
-          // Promotion hands this follower the leader obligations — but its
-          // own cancel/deadline may be why it woke. A dead promotee hands
-          // off again immediately instead of searching for nobody.
-          if (job.cancel != nullptr && job.cancel->cancelled()) {
-            coalescer_.Abandon(ticket.flight);
-            response.status = Status(job.cancel->code(),
-                                     "request cancelled while coalesced");
-            return nullptr;
-          }
-          if (job.deadline_at >= 0 &&
-              clock_->NowMicros() >= job.deadline_at) {
-            coalescer_.Abandon(ticket.flight);
-            response.status = DeadlineExceededError(
-                "deadline expired while waiting for coalesced plan");
-            return nullptr;
-          }
-          act_as_leader = true;
-          break;
-      }
-      if (invalidated) break;
-    }
-    if (invalidated) {
-      // The serving epoch moved while we waited; whatever the old leader
-      // finds can no longer serve. Re-resolve and re-join under the new
-      // epoch (the cache re-check below covers a plan already landed there).
-      response.epoch = epoch_.load(std::memory_order_acquire);
-      serving_epoch = ServingEpoch(response.epoch);
-      continue;
-    }
-    // Leader path. Between this request's cache miss and its join, a
-    // previous coalition may have resolved and dissolved — re-check the
-    // cache before paying a search, and feed any hit to our followers.
-    if (options_.cache_enabled) {
-      std::shared_ptr<const CachedPlan> cached =
-          cache_.Lookup(fingerprint, serving_epoch, /*count_stats=*/false);
-      if (cached != nullptr) {
-        response.cache_hit = true;
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        coalescer_.PublishPlan(ticket.flight, cached);
-        return cached;
-      }
-    }
+  // A leader searches for its flight, then publishes the plan (already
+  // inserted, so a request arriving after the flight dissolves hits it).
+  auto lead = [&](const std::shared_ptr<PlanCache::Flight>& flight) {
     coalesced_leaders_.fetch_add(1, std::memory_order_relaxed);
     std::shared_ptr<const CachedPlan> plan =
         PlanAndCache(job, fingerprint, serving_epoch,
                      /*allow_primary_fallback=*/true, response);
     if (plan != nullptr) {
-      coalescer_.PublishPlan(ticket.flight, plan);
+      cache_.PublishPlan(flight, plan);
       return plan;
     }
     // Leader-specific aborts (this request's cancel or budget/deadline) say
@@ -674,11 +592,79 @@ std::shared_ptr<const CachedPlan> QueryService::PlanCoalesced(
     const StatusCode code = response.status.code();
     if (code == StatusCode::kCancelled ||
         code == StatusCode::kDeadlineExceeded) {
-      coalescer_.Abandon(ticket.flight);
+      cache_.Abandon(flight);
     } else {
-      coalescer_.PublishStatus(ticket.flight, response.status);
+      cache_.PublishStatus(flight, response.status);
     }
-    return nullptr;
+    return plan;
+  };
+  // A follower stops waiting when its own cancel or deadline fires.
+  auto gone = [&] {
+    return (job.cancel != nullptr && job.cancel->cancelled()) ||
+           (job.deadline_at >= 0 && clock_->NowMicros() >= job.deadline_at);
+  };
+  auto gone_status = [&] {
+    return job.cancel != nullptr && job.cancel->cancelled()
+               ? Status(job.cancel->code(),
+                        "request cancelled while waiting for coalesced plan")
+               : DeadlineExceededError(
+                     "deadline expired while waiting for coalesced plan");
+  };
+  // One round per Acquire. A round ends without an answer only when this
+  // request's serving epoch turned out stale; the bound is a backstop
+  // against pathological epoch churn, after which the request plans solo
+  // rather than spinning.
+  for (int round = 0; round < 16; ++round) {
+    PlanCache::Ticket ticket = cache_.Acquire(fingerprint, serving_epoch);
+    switch (ticket.kind) {
+      case PlanCache::Ticket::Kind::kHit:
+        response.cache_hit = true;
+        return ticket.plan;
+      case PlanCache::Ticket::Kind::kLead:
+        return lead(ticket.flight);
+      case PlanCache::Ticket::Kind::kBehind:
+        break;
+      case PlanCache::Ticket::Kind::kFollow: {
+        PlanCache::WaitResult wait = cache_.Wait(ticket.flight, gone);
+        switch (wait.outcome) {
+          case PlanCache::Outcome::kPlan:
+            // The leader's search fed this request; the follower now
+            // executes its own instance of the shared plan under its own
+            // deadline.
+            coalesced_followers_.fetch_add(1, std::memory_order_relaxed);
+            return wait.plan;
+          case PlanCache::Outcome::kStatus:
+            // A definite property of the query (e.g. no plan exists), not of
+            // the leader's request: honest to propagate without
+            // re-searching.
+            coalesced_followers_.fetch_add(1, std::memory_order_relaxed);
+            response.status = wait.status;
+            return nullptr;
+          case PlanCache::Outcome::kDetached:
+            response.status = gone_status();
+            return nullptr;
+          case PlanCache::Outcome::kPromoted:
+            coalition_handoffs_.fetch_add(1, std::memory_order_relaxed);
+            // Promotion hands this follower the leader obligations — but
+            // its own cancel/deadline may be why it woke. A dead promotee
+            // hands off again immediately instead of searching for nobody.
+            if (gone()) {
+              cache_.Abandon(ticket.flight);
+              response.status = gone_status();
+              return nullptr;
+            }
+            return lead(ticket.flight);
+          case PlanCache::Outcome::kInvalidated:
+            break;
+        }
+        break;
+      }
+    }
+    // The serving epoch moved under this request: an epoch bump invalidated
+    // the flight it waited on, or the table already holds a newer epoch for
+    // the key. Re-resolve it and try again.
+    response.epoch = epoch_.load(std::memory_order_acquire);
+    serving_epoch = ServingEpoch(response.epoch);
   }
   return PlanAndCache(job, fingerprint, serving_epoch,
                       /*allow_primary_fallback=*/true, response);
@@ -689,8 +675,7 @@ QueryResponse QueryService::Serve(const Job& job, AccessSource* source) {
   QueryResponse response;
   const int64_t start = clock_->NowMicros();
   response.queue_micros = start - job.enqueue_micros;
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
-  response.epoch = epoch;
+  response.epoch = epoch_.load(std::memory_order_acquire);
 
   // A cancellation (or abort shutdown) that raced the dequeue: resolve
   // without planning.
@@ -707,19 +692,18 @@ QueryResponse QueryService::Serve(const Job& job, AccessSource* source) {
       health_->NumQuarantined() > 0) {
     RunDueProbes(*source);
   }
-  uint64_t serving_epoch = ServingEpoch(epoch);
+  // The serving epoch and `response.epoch` always move together: a request
+  // re-resolved mid-wait keeps planning (and failing over) under the new
+  // pair.
+  uint64_t serving_epoch = ServingEpoch(response.epoch);
 
   std::shared_ptr<const CachedPlan> plan;
   QueryFingerprint fingerprint;
-  const bool lookup_cache = options_.cache_enabled && !request.skip_cache;
   if (response.status.ok()) {
     fingerprint = CanonicalizeQuery(request.query);
-    if (lookup_cache) plan = cache_.Lookup(fingerprint, serving_epoch);
-    if (plan != nullptr) {
-      response.cache_hit = true;
+    plan = FindOrPlan(job, fingerprint, serving_epoch, response);
+    if (response.cache_hit) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      plan = PlanCoalesced(job, fingerprint, serving_epoch, response);
     }
   }
   const int64_t planned = clock_->NowMicros();
@@ -772,16 +756,18 @@ QueryResponse QueryService::Serve(const Job& job, AccessSource* source) {
           // rebuild the same plan.
           if (attempt > 0 || health_ == nullptr ||
               run.status().code() != StatusCode::kUnavailable ||
-              ServingEpoch(epoch) == serving_epoch) {
+              ServingEpoch(response.epoch) == serving_epoch) {
             response.status = run.status();
             break;
           }
           const Status primary_failure = run.status();
-          serving_epoch = ServingEpoch(epoch);
+          serving_epoch = ServingEpoch(response.epoch);
           failovers_.fetch_add(1, std::memory_order_relaxed);
           response.failed_over = true;
           std::shared_ptr<const CachedPlan> fallback;
-          if (lookup_cache) fallback = cache_.Lookup(fingerprint, serving_epoch);
+          if (!request.skip_cache) {
+            fallback = cache_.Lookup(fingerprint, serving_epoch);
+          }
           if (fallback == nullptr) {
             fallback = PlanAndCache(job, fingerprint, serving_epoch,
                                     /*allow_primary_fallback=*/false, response);

@@ -22,7 +22,6 @@
 #include "lcp/planner/proof_search.h"
 #include "lcp/runtime/executor.h"
 #include "lcp/runtime/health.h"
-#include "lcp/service/coalesce.h"
 #include "lcp/service/plan_cache.h"
 
 namespace lcp {
@@ -59,8 +58,6 @@ struct ServiceOptions {
   /// Fixed worker pool size; at least 1.
   int num_workers = 4;
   PlanCache::Options cache;
-  /// Set false to plan every request from scratch (benchmark baseline).
-  bool cache_enabled = true;
   /// Template for every planning episode, used as given except that
   /// `budget` is per-request (see planning_budget_micros) and
   /// `collect_exploration_log` is always off (the service never reads it).
@@ -100,24 +97,25 @@ struct ServiceOptions {
   /// recovery probes when quarantine windows expire. `health.clock` is
   /// always the service clock.
   HealthOptions health;
-  /// Crash-safe warm restarts (DESIGN.md §12): when non-empty (and the cache
-  /// is enabled), the service loads a plan-cache snapshot from this path at
-  /// construction — every loaded plan is CRC-checked, defensively decoded,
-  /// and re-validated against the live schema; a corrupt, truncated, or
-  /// schema-stale file degrades to a cold start, never an error — and writes
-  /// one atomically on Shutdown(kDrain). Empty = no persistence.
+  /// Crash-safe warm restarts (DESIGN.md §12): when non-empty, the service
+  /// loads a plan-cache snapshot from this path at construction — every
+  /// loaded plan is CRC-checked, defensively decoded, and re-validated
+  /// against the live schema; a corrupt, truncated, or schema-stale file
+  /// degrades to a cold start, never an error — and writes one atomically on
+  /// Shutdown(kDrain). Empty = no persistence.
   std::string snapshot_path;
-  /// When > 0 (and snapshot_path is set), additionally writes a snapshot in
-  /// the background roughly every this many clock micros, piggybacked on
-  /// request completion (an idle service writes nothing — nothing changed).
-  /// 0 = shutdown-only snapshots.
+  /// When > 0 (and snapshot_path is set), additionally writes a snapshot
+  /// roughly every this many clock micros, from the worker whose request
+  /// completes after the interval elapsed (an idle service writes nothing —
+  /// nothing changed). 0 = shutdown-only snapshots.
   int64_t snapshot_interval_micros = 0;
   /// Single-flight request coalescing (DESIGN.md §12): concurrent cache
-  /// misses on the same canonical fingerprint share one proof search — one
-  /// leader plans, followers wait for the published plan and then execute
-  /// their own instances under their own deadlines and cancel tokens. Off =
-  /// the historic behavior (every miss searches). skip_cache requests always
-  /// bypass coalescing: they explicitly demand a fresh search.
+  /// misses on the same canonical fingerprint share one proof search through
+  /// the plan cache's flights — one leader plans, followers wait for the
+  /// published plan and then execute their own instances under their own
+  /// deadlines and cancel tokens. Off = every miss searches. skip_cache
+  /// requests always bypass coalescing: they explicitly demand a fresh
+  /// search.
   bool coalescing_enabled = true;
 };
 
@@ -233,8 +231,7 @@ struct ServiceStats {
   uint64_t snapshot_entries_rejected_corrupt = 0;  ///< CRC/frame/decode.
   uint64_t snapshot_entries_rejected_stale = 0;    ///< Failed ValidatePlan.
   /// Single-flight coalescing counters (zero when coalescing is disabled).
-  /// Coalition leaders that paid a proof search on behalf of their flight
-  /// (a leader whose post-join cache re-check hits is a cache hit instead).
+  /// Flight leaders that paid a proof search on behalf of their flight.
   uint64_t coalesced_leaders = 0;
   /// Requests served by another request's search outcome — a shared plan or
   /// a definite status — with no search of their own. Counted at delivery,
@@ -244,7 +241,7 @@ struct ServiceStats {
   uint64_t coalition_handoffs = 0;   ///< Followers promoted after the leader
                                      ///< abandoned (cancel/deadline).
   uint64_t coalesced_waiting = 0;    ///< Gauge: followers parked on an
-                                     ///< in-flight coalition right now.
+                                     ///< in-flight search right now.
   /// Totals for deriving means; on the service clock.
   int64_t queue_micros = 0;
   int64_t plan_micros = 0;
@@ -403,7 +400,9 @@ class QueryService {
   /// bits, source-availability epoch in the low 32 (DESIGN.md §10). A schema
   /// change or a quarantine/recovery transition each make prior entries
   /// unreachable; the combined value stays monotone, so EvictBelowEpoch
-  /// semantics are preserved.
+  /// semantics are preserved, and no two (schema, availability) pairs share
+  /// a value, so a request holding a stale schema epoch never lands on the
+  /// key of a different availability regime.
   uint64_t ServingEpoch(uint64_t schema_epoch) const;
 
   /// Replays due recovery probes (quarantine windows that expired on the
@@ -425,14 +424,16 @@ class QueryService {
       uint64_t serving_epoch, bool allow_primary_fallback,
       QueryResponse& response);
 
-  /// PlanAndCache behind the single-flight coalescer (DESIGN.md §12): joins
-  /// or leads the coalition for (fingerprint, serving_epoch). Leaders search
+  /// The plan for `fingerprint`: a cache hit (setting
+  /// `response.cache_hit`), else PlanAndCache behind the cache's single
+  /// flight for (fingerprint, serving_epoch) (DESIGN.md §12). Leaders search
   /// and publish; followers wait, detaching on their own cancel/deadline and
-  /// taking over (promotion) when the leader abandons. `serving_epoch` is
-  /// a reference because an epoch bump mid-flight re-resolves it. Falls
-  /// through to plain PlanAndCache when coalescing is off or the request
-  /// skips the cache.
-  std::shared_ptr<const CachedPlan> PlanCoalesced(
+  /// taking over (promotion) when the leader abandons. `serving_epoch` is a
+  /// reference because a stale one (an epoch bump mid-wait, or a newer
+  /// epoch already in the table) is re-resolved, together with
+  /// `response.epoch`. With coalescing off it is a Lookup and a solo
+  /// search; a skip_cache request always searches solo.
+  std::shared_ptr<const CachedPlan> FindOrPlan(
       const Job& job, const QueryFingerprint& fingerprint,
       uint64_t& serving_epoch, QueryResponse& response);
 
@@ -455,7 +456,6 @@ class QueryService {
   /// Null when no source factory was given (plan-only services have no
   /// executor feedback to learn from).
   std::unique_ptr<SourceHealthRegistry> health_;
-  RequestCoalescer coalescer_;
 
   std::atomic<uint64_t> epoch_;
   std::atomic<uint64_t> schema_fingerprint_;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "lcp/base/strings.h"
 
@@ -150,6 +154,24 @@ TEST(PlanCacheTest, OlderEpochInsertKeepsNewerResident) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+TEST(PlanCacheTest, OlderEpochLookupKeepsNewerResident) {
+  // A probe older than the resident plan is the stale one: a plain miss
+  // that leaves the plan in place for current requests.
+  PlanCache cache(SingleShard(4));
+  QueryFingerprint fp = Fp(1, "q");
+  cache.Insert(fp, 2, NamedPlan("current"), 1.0);
+  EXPECT_EQ(cache.Lookup(fp, 1), nullptr);
+
+  auto hit = cache.Lookup(fp, 2);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->plan.output_table, "current");
+  PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.stale_misses, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
 TEST(PlanCacheTest, EvictBelowEpoch) {
   PlanCache cache(SingleShard(8));
   cache.Insert(Fp(1, "a"), 1, NamedPlan("a"), 1.0);
@@ -211,6 +233,214 @@ TEST(PlanCacheTest, HashCollisionDistinctKeysDontAlias) {
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.Lookup(a, 1)->plan.output_table, "a");
   EXPECT_EQ(cache.Lookup(b, 1)->plan.output_table, "b");
+}
+
+// --- single flight ---------------------------------------------------------
+
+using Kind = PlanCache::Ticket::Kind;
+using Outcome = PlanCache::Outcome;
+
+TEST(PlanCacheFlightTest, LeaderPublishesToFollowersThenLaterRequestsHit) {
+  PlanCache cache(SingleShard(4));
+  QueryFingerprint fp = Fp(1, "q");
+  PlanCache::Ticket leader = cache.Acquire(fp, 1);
+  ASSERT_EQ(leader.kind, Kind::kLead);
+  PlanCache::Ticket follower = cache.Acquire(fp, 1);
+  ASSERT_EQ(follower.kind, Kind::kFollow);
+  EXPECT_EQ(follower.flight, leader.flight);
+  EXPECT_EQ(cache.waiting(), 1u);
+
+  auto plan = cache.Insert(fp, 1, NamedPlan("p"), 1.0);
+  cache.PublishPlan(leader.flight, plan);
+  PlanCache::WaitResult wait = cache.Wait(follower.flight, nullptr);
+  EXPECT_EQ(wait.outcome, Outcome::kPlan);
+  EXPECT_EQ(wait.plan, plan);
+  EXPECT_EQ(cache.waiting(), 0u);
+
+  PlanCache::Ticket later = cache.Acquire(fp, 1);
+  EXPECT_EQ(later.kind, Kind::kHit);
+  EXPECT_EQ(later.plan, plan);
+  PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+}
+
+TEST(PlanCacheFlightTest, DefiniteStatusReachesFollowersAndCachesNothing) {
+  PlanCache cache(SingleShard(4));
+  QueryFingerprint fp = Fp(1, "q");
+  PlanCache::Ticket leader = cache.Acquire(fp, 1);
+  PlanCache::Ticket follower = cache.Acquire(fp, 1);
+  ASSERT_EQ(follower.kind, Kind::kFollow);
+  cache.PublishStatus(leader.flight, NotFoundError("no plan"));
+
+  PlanCache::WaitResult wait = cache.Wait(follower.flight, nullptr);
+  EXPECT_EQ(wait.outcome, Outcome::kStatus);
+  EXPECT_EQ(wait.status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(wait.plan, nullptr);
+  // The flight dissolved; the next request leads a fresh one.
+  EXPECT_EQ(cache.Acquire(fp, 1).kind, Kind::kLead);
+}
+
+TEST(PlanCacheFlightTest, DetachThenAbandonPromotesTheRemainingFollower) {
+  PlanCache cache(SingleShard(4));
+  QueryFingerprint fp = Fp(1, "q");
+  PlanCache::Ticket leader = cache.Acquire(fp, 1);
+  PlanCache::Ticket stays = cache.Acquire(fp, 1);
+  PlanCache::Ticket leaves = cache.Acquire(fp, 1);
+  EXPECT_EQ(cache.waiting(), 2u);
+
+  // A follower's own cancel detaches only that follower.
+  EXPECT_EQ(cache.Wait(leaves.flight, [] { return true; }).outcome,
+            Outcome::kDetached);
+  EXPECT_EQ(cache.waiting(), 1u);
+
+  // The leader steps down; the remaining follower takes the flight over.
+  cache.Abandon(leader.flight);
+  EXPECT_EQ(cache.Wait(stays.flight, nullptr).outcome, Outcome::kPromoted);
+  EXPECT_EQ(cache.waiting(), 0u);
+  // A later request still joins the promoted follower's flight.
+  PlanCache::Ticket joins = cache.Acquire(fp, 1);
+  EXPECT_EQ(joins.kind, Kind::kFollow);
+  EXPECT_EQ(joins.flight, stays.flight);
+  EXPECT_EQ(cache.Wait(joins.flight, [] { return true; }).outcome,
+            Outcome::kDetached);
+
+  // With no follower left to promote, abandoning dissolves the flight.
+  cache.Abandon(stays.flight);
+  PlanCache::Ticket next = cache.Acquire(fp, 1);
+  EXPECT_EQ(next.kind, Kind::kLead);
+  EXPECT_NE(next.flight, stays.flight);
+}
+
+TEST(PlanCacheFlightTest, EvictBelowEpochInvalidatesOlderFlightsOnly) {
+  PlanCache cache(SingleShard(4));
+  QueryFingerprint old_key = Fp(1, "old"), new_key = Fp(2, "new");
+  PlanCache::Ticket old_leader = cache.Acquire(old_key, 1);
+  PlanCache::Ticket old_follower = cache.Acquire(old_key, 1);
+  PlanCache::Ticket new_leader = cache.Acquire(new_key, 2);
+  PlanCache::Ticket new_follower = cache.Acquire(new_key, 2);
+  cache.Insert(old_key, 1, NamedPlan("old"), 1.0);
+
+  cache.EvictBelowEpoch(2);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Wait(old_follower.flight, nullptr).outcome,
+            Outcome::kInvalidated);
+  EXPECT_EQ(cache.waiting(), 1u) << "the epoch-2 follower stays parked";
+  // The invalidated leader's late publish reaches no one.
+  cache.PublishPlan(old_leader.flight,
+                    cache.Insert(old_key, 1, NamedPlan("late"), 1.0));
+  EXPECT_EQ(cache.Acquire(old_key, 2).kind, Kind::kLead);
+
+  auto plan = cache.Insert(new_key, 2, NamedPlan("new"), 1.0);
+  cache.PublishPlan(new_leader.flight, plan);
+  PlanCache::WaitResult wait = cache.Wait(new_follower.flight, nullptr);
+  EXPECT_EQ(wait.outcome, Outcome::kPlan);
+  EXPECT_EQ(wait.plan, plan);
+}
+
+TEST(PlanCacheFlightTest, NewerAcquireReplacesAnOlderFlight) {
+  PlanCache cache(SingleShard(4));
+  QueryFingerprint fp = Fp(1, "q");
+  PlanCache::Ticket old_leader = cache.Acquire(fp, 1);
+  PlanCache::Ticket old_follower = cache.Acquire(fp, 1);
+  PlanCache::Ticket fresh = cache.Acquire(fp, 2);
+  ASSERT_EQ(fresh.kind, Kind::kLead);
+  EXPECT_NE(fresh.flight, old_leader.flight);
+  EXPECT_EQ(cache.Wait(old_follower.flight, nullptr).outcome,
+            Outcome::kInvalidated);
+  EXPECT_EQ(cache.Acquire(fp, 2).flight, fresh.flight);
+}
+
+TEST(PlanCacheFlightTest, OlderAcquireLeavesANewerFlightAndPlan) {
+  PlanCache cache(SingleShard(4));
+  QueryFingerprint fp = Fp(1, "q");
+  PlanCache::Ticket leader = cache.Acquire(fp, 2);
+  PlanCache::Ticket follower = cache.Acquire(fp, 2);
+  ASSERT_EQ(follower.kind, Kind::kFollow);
+
+  // An epoch-1 probe neither joins nor invalidates the epoch-2 flight.
+  PlanCache::Ticket older = cache.Acquire(fp, 1);
+  EXPECT_EQ(older.kind, Kind::kBehind);
+  EXPECT_EQ(older.flight, nullptr);
+  EXPECT_EQ(cache.waiting(), 1u) << "the epoch-2 follower stays parked";
+
+  auto plan = cache.Insert(fp, 2, NamedPlan("current"), 1.0);
+  cache.PublishPlan(leader.flight, plan);
+  PlanCache::WaitResult wait = cache.Wait(follower.flight, nullptr);
+  EXPECT_EQ(wait.outcome, Outcome::kPlan);
+  EXPECT_EQ(wait.plan, plan);
+
+  // Nor does it touch the resident epoch-2 plan.
+  EXPECT_EQ(cache.Acquire(fp, 1).kind, Kind::kBehind);
+  EXPECT_EQ(cache.Acquire(fp, 2).plan, plan);
+  EXPECT_EQ(cache.stats().stale_misses, 0u);
+}
+
+TEST(PlanCacheFlightTest, ConcurrentAcquiresAndEvictionKeepOneLeaderPerEpoch) {
+  // Requests park on an epoch-1 flight; then an epoch bump and the leader's
+  // publish race. Either the followers get the epoch-1 plan, or they wake
+  // invalidated and retry under epoch 2, where one of them leads.
+  constexpr int kRequests = 8;
+  PlanCache::Options options;
+  options.num_shards = 4;
+  PlanCache cache(options);
+  const QueryFingerprint fp = Fp(3, "q");
+  std::atomic<uint64_t> epoch{1};
+  std::atomic<uint64_t> acquires{0};
+  std::atomic<int> leaders[3];
+  std::atomic<int> wrong{0};
+
+  PlanCache::Ticket first = cache.Acquire(fp, 1);
+  acquires.fetch_add(1);
+  ASSERT_EQ(first.kind, Kind::kLead);
+  leaders[1].fetch_add(1);
+
+  auto request = [&] {
+    for (;;) {
+      const uint64_t e = epoch.load();
+      PlanCache::Ticket ticket = cache.Acquire(fp, e);
+      acquires.fetch_add(1);
+      switch (ticket.kind) {
+        case Kind::kHit:
+          if (ticket.plan->epoch != e) wrong.fetch_add(1);
+          return;
+        case Kind::kLead:
+          leaders[e].fetch_add(1);
+          cache.PublishPlan(ticket.flight,
+                            cache.Insert(fp, e, NamedPlan("p"), 1.0));
+          return;
+        case Kind::kBehind:
+          continue;
+        case Kind::kFollow: {
+          PlanCache::WaitResult wait = cache.Wait(ticket.flight, nullptr);
+          if (wait.outcome == Outcome::kInvalidated) continue;
+          if (wait.outcome != Outcome::kPlan || wait.plan->epoch != e) {
+            wrong.fetch_add(1);
+          }
+          return;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kRequests; ++i) threads.emplace_back(request);
+  while (cache.waiting() < static_cast<size_t>(kRequests)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread bumper([&] {
+    epoch.store(2);
+    cache.EvictBelowEpoch(2);
+  });
+  cache.PublishPlan(first.flight, cache.Insert(fp, 1, NamedPlan("p"), 1.0));
+  bumper.join();
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(leaders[1].load(), 1);
+  EXPECT_LE(leaders[2].load(), 1);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(cache.waiting(), 0u);
+  PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, acquires.load());
 }
 
 }  // namespace

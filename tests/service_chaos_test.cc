@@ -179,7 +179,9 @@ size_t RunScenario(const ChaosWorld& world, uint64_t seed) {
   options.shed_policy =
       pick(2) == 0 ? ShedPolicy::kRejectNew : ShedPolicy::kDropOldest;
   options.cache.num_shards = 1 + pick(4);
-  options.cache_enabled = pick(8) != 0;
+  // Once the cache on/off draw; kept so every seed replays the same
+  // scenario.
+  (void)pick(8);
   options.clock = &clock;
   options.execution.retry.max_attempts = 1 + pick(3);
   options.execution.retry.breaker_threshold = pick(2) == 0 ? 0 : 3;
@@ -307,8 +309,8 @@ size_t RunScenario(const ChaosWorld& world, uint64_t seed) {
 ///
 ///   searches <= distinct_keys * (1 + epoch_bumps) + cancels
 ///
-/// Per (key, epoch band) at most one search completes — coalescing and the
-/// leader's post-join cache re-check close every resolve-vs-join race — and
+/// Per (key, epoch band) at most one search completes — the plan cache's
+/// atomic Acquire leaves no window between a miss and a join — and
 /// each cancel can add at most one extra attempt (a cancelled leader's
 /// aborted search, redone by the promoted follower). Seeds that happen to
 /// schedule no cancels and no bumps therefore collapse to the strongest

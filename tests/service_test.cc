@@ -17,6 +17,7 @@
 #include "lcp/accessible/accessible_schema.h"
 #include "lcp/data/generator.h"
 #include "lcp/data/query_eval.h"
+#include "lcp/runtime/faults.h"
 #include "lcp/runtime/source.h"
 #include "lcp/schema/parser.h"
 #include "lcp/workload/scenarios.h"
@@ -214,25 +215,6 @@ TEST(ServiceTest, SkipCacheReplansButStillOffersTheResult) {
   normal.query = fx.query;
   EXPECT_TRUE(service.Call(normal).cache_hit)
       << "skip_cache results are still offered to the cache";
-}
-
-TEST(ServiceTest, DisabledCacheAlwaysPlans) {
-  ServiceFixture fx = MakeProfinfoFixture();
-  ServiceOptions options;
-  options.cache_enabled = false;
-  QueryService service(fx.accessible.get(), fx.cost.get(), fx.Factory(),
-                       options);
-  QueryRequest request;
-  request.query = fx.query;
-  for (int i = 0; i < 2; ++i) {
-    QueryResponse response = service.Call(request);
-    ASSERT_TRUE(response.status.ok());
-    EXPECT_FALSE(response.cache_hit);
-    ASSERT_NE(response.plan, nullptr);
-    EXPECT_EQ(Rows(response), Oracle(fx.query, *fx.instance));
-  }
-  EXPECT_EQ(service.SnapshotStats().searches, 2u);
-  EXPECT_EQ(service.cache().size(), 0u);
 }
 
 TEST(ServiceTest, SubmitAfterShutdownFailsFast) {
@@ -993,6 +975,171 @@ TEST(ServiceCoalescingTest, DisabledCoalescingPlansEveryRequestSolo) {
   EXPECT_EQ(stats.searches, 3u);
   EXPECT_EQ(stats.coalesced_leaders, 0u);
   EXPECT_EQ(stats.coalesced_followers, 0u);
+  service.Shutdown();
+}
+
+/// A SimulatedSource whose method `down` is permanently out, as one object a
+/// factory can hand out. With a gate, every access first waits at it.
+class OutageSource : public AccessSource {
+ public:
+  OutageSource(const Schema* schema, const Instance* instance,
+               AccessMethodId down, Clock* clock, Gate* gate)
+      : base_(schema, instance),
+        faulty_(&base_, Outage(down), /*seed=*/1, clock),
+        gate_(gate) {}
+  Result<AccessOutcome> TryAccess(AccessMethodId method,
+                                  const Tuple& inputs) override {
+    if (gate_ != nullptr) gate_->Pass();
+    return faulty_.TryAccess(method, inputs);
+  }
+  const Schema& schema() const override { return faulty_.schema(); }
+
+ private:
+  static FaultProfile Outage(AccessMethodId down) {
+    FaultProfile profile;
+    profile.permanent_outages.insert(down);
+    return profile;
+  }
+
+  SimulatedSource base_;
+  FaultInjectingSource faulty_;
+  Gate* gate_;
+};
+
+/// ServiceFailoverTest's world: R has a cheap and an expensive method, and
+/// the sources Factory() hands out have the cheap one down from the start.
+/// Options() fails an execution on its first kUnavailable and quarantines
+/// the method at once; the clock is never advanced, so no recovery probe
+/// runs.
+struct OutageWorld {
+  std::unique_ptr<Schema> schema;
+  AccessMethodId cheap = 0;
+  std::unique_ptr<AccessibleSchema> accessible;
+  std::unique_ptr<Instance> instance;
+  ConjunctiveQuery query;
+  SharedVirtualClock clock;
+
+  QueryService::SourceFactory Factory(Gate* gate = nullptr) {
+    return [this, gate] {
+      return std::make_unique<OutageSource>(schema.get(), instance.get(),
+                                            cheap, &clock, gate);
+    };
+  }
+  ServiceOptions Options() {
+    ServiceOptions options;
+    options.num_workers = 2;
+    options.clock = &clock;
+    options.execution.retry.max_attempts = 1;
+    options.health.quarantine_after_consecutive = 1;
+    return options;
+  }
+};
+
+void BuildOutageWorld(OutageWorld& world) {
+  world.schema = std::make_unique<Schema>();
+  RelationId r = world.schema->AddRelation("R", 2).value();
+  world.cheap =
+      world.schema->AddAccessMethod("mt_r_cheap", r, {}, 1.0).value();
+  world.schema->AddAccessMethod("mt_r_expensive", r, {}, 25.0).value();
+  auto accessible =
+      AccessibleSchema::Build(*world.schema, AccessibleVariant::kStandard);
+  ASSERT_TRUE(accessible.ok()) << accessible.status();
+  world.accessible =
+      std::make_unique<AccessibleSchema>(std::move(accessible).value());
+  world.instance = std::make_unique<Instance>(world.schema.get());
+  for (int i = 0; i < 4; ++i) {
+    world.instance->AddFact(r, Tuple{Value::Int(i), Value::Int(i * 10)});
+  }
+  auto query = ParseQuery(*world.schema, "Q(x, y) :- R(x, y)");
+  ASSERT_TRUE(query.ok()) << query.status();
+  world.query = std::move(query).value();
+}
+
+TEST(ServiceCoalescingTest, FailoverAfterMidWaitBumpCachesUnderTheNewEpoch) {
+  OutageWorld world;
+  ASSERT_NO_FATAL_FAILURE(BuildOutageWorld(world));
+  Gate gate;
+  GatedCostFunction cost(world.schema.get(), &gate);
+  QueryService service(world.accessible.get(), &cost, world.Factory(),
+                       world.Options());
+
+  QueryRequest request;
+  request.query = world.query;
+  // A plan-only leader holds its flight inside the proof search.
+  QueryRequest plan_only = request;
+  plan_only.execute = false;
+  auto leader = service.Submit(std::move(plan_only));
+  gate.AwaitArrival();
+  // An executing follower parks on that flight. The bump invalidates it, so
+  // the follower re-resolves the epoch and leads a search of its own.
+  auto follower = service.Submit(QueryRequest(request));
+  SpinUntil([&] { return service.SnapshotStats().coalesced_waiting == 1; });
+  EXPECT_EQ(service.BumpEpoch(), 2u);
+  SpinUntil([&] { return gate.arrivals.load(std::memory_order_acquire) >= 2; });
+  gate.Open();
+
+  QueryResponse planned = leader.future.get();
+  ASSERT_TRUE(planned.status.ok()) << planned.status;
+  // The follower's cheap plan fails on the down method; the quarantine moves
+  // the availability epoch, and the follower fails over in-request.
+  QueryResponse detoured = follower.future.get();
+  ASSERT_TRUE(detoured.status.ok()) << detoured.status;
+  EXPECT_EQ(detoured.epoch, 2u);
+  EXPECT_TRUE(detoured.failed_over);
+  EXPECT_TRUE(detoured.degraded);
+  EXPECT_EQ(detoured.execution.output.size(), 4u);
+
+  // The detour was cached under the epoch the follower was planned under, so
+  // the next identical request hits it instead of searching again.
+  QueryResponse next = service.Call(QueryRequest(request));
+  ASSERT_TRUE(next.status.ok()) << next.status;
+  EXPECT_TRUE(next.cache_hit);
+  EXPECT_TRUE(next.degraded);
+  ServiceStats stats = service.SnapshotStats();
+  EXPECT_EQ(stats.searches, 3u)
+      << "the old leader's, the follower's, and the follower's detour";
+  EXPECT_EQ(stats.failovers, 1u);
+  service.Shutdown();
+}
+
+TEST(ServiceEpochTest, StaleRequestFailsOverPastANewerSchemaEpochsPlan) {
+  // Schema and availability epochs both start at 1. A request planned under
+  // schema epoch 1 is still executing when the schema epoch moves to 2 and a
+  // second request caches a plan on the cheap method under (2, 1). The
+  // first request's failure then quarantines that method, moving the
+  // availability epoch to 2: its failover key, (1, 2), names a different
+  // regime than (2, 1) and must not reach the second request's plan.
+  OutageWorld world;
+  ASSERT_NO_FATAL_FAILURE(BuildOutageWorld(world));
+  Gate gate;
+  SimpleCostFunction cost(world.schema.get());
+  QueryService service(world.accessible.get(), &cost, world.Factory(&gate),
+                       world.Options());
+
+  QueryRequest request;
+  request.query = world.query;
+  auto stale = service.Submit(QueryRequest(request));
+  gate.AwaitArrival();  // Planned and cached under (1, 1), now executing.
+  EXPECT_EQ(service.BumpEpoch(), 2u);
+  QueryRequest plan_only = request;
+  plan_only.execute = false;
+  QueryResponse current = service.Call(std::move(plan_only));
+  gate.Open();
+  ASSERT_TRUE(current.status.ok()) << current.status;
+  EXPECT_EQ(current.epoch, 2u);
+  EXPECT_FALSE(current.cache_hit);
+  EXPECT_FALSE(current.degraded) << "nothing is quarantined yet";
+
+  QueryResponse detoured = stale.future.get();
+  ASSERT_TRUE(detoured.status.ok()) << detoured.status;
+  EXPECT_EQ(detoured.epoch, 1u);
+  EXPECT_TRUE(detoured.failed_over);
+  EXPECT_TRUE(detoured.degraded);
+  EXPECT_EQ(detoured.execution.output.size(), 4u);
+  ServiceStats stats = service.SnapshotStats();
+  EXPECT_EQ(stats.searches, 3u)
+      << "the stale request's, the current request's, and the detour";
+  EXPECT_EQ(stats.failovers, 1u);
   service.Shutdown();
 }
 
