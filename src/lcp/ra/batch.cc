@@ -1,5 +1,6 @@
 #include "lcp/ra/batch.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -8,15 +9,88 @@
 namespace lcp {
 
 TermCode TermPool::Intern(const Value& v) {
+  if (base_ != nullptr) {
+    if (std::optional<TermCode> code = base_->Find(v)) return *code;
+  }
   auto it = codes_.find(v);
   if (it != codes_.end()) return it->second;
-  LCP_CHECK_LT(values_.size(),
+  LCP_CHECK_LT(size(),
                static_cast<size_t>(std::numeric_limits<TermCode>::max()))
       << "term pool overflow";
-  TermCode code = static_cast<TermCode>(values_.size());
+  TermCode code = static_cast<TermCode>(size());
   values_.push_back(v);
   codes_.emplace(values_.back(), code);
   return code;
+}
+
+std::optional<TermCode> TermPool::Find(const Value& v) const {
+  if (base_ != nullptr) {
+    if (std::optional<TermCode> code = base_->Find(v)) return code;
+  }
+  auto it = codes_.find(v);
+  if (it == codes_.end()) return std::nullopt;
+  return it->second;
+}
+
+CodeKeySet::CodeKeySet(size_t width, size_t expected_keys) : width_(width) {
+  size_t slots = 16;
+  while (slots < 2 * expected_keys) slots <<= 1;
+  slots_.assign(slots, 0);
+  keys_.reserve(expected_keys * width_);
+}
+
+size_t CodeKeySet::Hash(const TermCode* key) const {
+  size_t h = 0x811c9dc5;
+  for (size_t c = 0; c < width_; ++c) {
+    h ^= static_cast<size_t>(key[c]) + 0x9e3779b97f4a7c15ULL;
+    h *= 0x01000193;
+  }
+  // Finalize so the slot mask sees high-bit differences too.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h;
+}
+
+bool CodeKeySet::KeyEquals(uint32_t id, const TermCode* key) const {
+  const TermCode* stored = this->key(id);
+  for (size_t c = 0; c < width_; ++c) {
+    if (stored[c] != key[c]) return false;
+  }
+  return true;
+}
+
+uint32_t CodeKeySet::Insert(const TermCode* key) {
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  size_t s = Hash(key) & mask;
+  for (; slots_[s] != 0; s = (s + 1) & mask) {
+    if (KeyEquals(slots_[s] - 1, key)) return slots_[s] - 1;
+  }
+  LCP_CHECK_LT(size_, static_cast<size_t>(std::numeric_limits<uint32_t>::max()))
+      << "code key set overflow";
+  const uint32_t id = static_cast<uint32_t>(size_++);
+  keys_.insert(keys_.end(), key, key + width_);
+  slots_[s] = id + 1;
+  return id;
+}
+
+void CodeKeySet::Grow() {
+  slots_.assign(slots_.size() * 2, 0);
+  const size_t mask = slots_.size() - 1;
+  for (uint32_t id = 0; id < size_; ++id) {
+    size_t s = Hash(key(id)) & mask;
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = id + 1;
+  }
+}
+
+std::vector<TermCode> CodeKeySet::ReleaseKeys() {
+  std::vector<TermCode> keys = std::move(keys_);
+  keys_.clear();
+  size_ = 0;
+  std::fill(slots_.begin(), slots_.end(), 0);
+  return keys;
 }
 
 ColumnBatch::ColumnBatch(std::vector<std::string> attrs)

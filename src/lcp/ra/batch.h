@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,21 +22,74 @@ using TermCode = uint32_t;
 /// A dictionary-encoding term pool: interns Values once and hands out dense
 /// 32-bit codes. One pool is shared by all batches of one plan execution;
 /// decoding only happens at the row-Table conversion boundary.
+///
+/// A pool may be layered over a base pool (a source's dictionary): every
+/// value the base holds keeps its base code, and only values the base lacks
+/// get codes here, numbered from base->size() on. The base must outlive the
+/// layered pool and must not grow while it does, so a value has exactly one
+/// code for the layered pool's lifetime.
 class TermPool {
  public:
+  TermPool() = default;
+  explicit TermPool(const TermPool* base)
+      : base_(base), base_size_(base != nullptr ? base->size() : 0) {}
+
   /// Returns the code of `v`, interning it on first sight.
   TermCode Intern(const Value& v);
 
+  /// The code of `v` if the pool (or its base) holds it; never interns.
+  std::optional<TermCode> Find(const Value& v) const;
+
   const Value& Decode(TermCode code) const {
-    LCP_CHECK_LT(static_cast<size_t>(code), values_.size());
-    return values_[code];
+    if (code < base_size_) return base_->Decode(code);
+    LCP_CHECK_LT(static_cast<size_t>(code) - base_size_, values_.size());
+    return values_[code - base_size_];
   }
 
-  size_t size() const { return values_.size(); }
+  size_t size() const { return base_size_ + values_.size(); }
+
+  /// The pool this one is layered over, or null.
+  const TermPool* base() const { return base_; }
 
  private:
+  const TermPool* base_ = nullptr;
+  size_t base_size_ = 0;
   std::unordered_map<Value, TermCode, ValueHash> codes_;
   std::vector<Value> values_;
+};
+
+/// An append-only set of fixed-width TermCode keys that numbers its keys
+/// densely in insertion order. Keys are stored flat (`width` codes per id);
+/// lookup is open addressing over a power-of-two slot table that doubles at
+/// half load. The access-binding dedup and SimulatedSource's per-method
+/// index both use it, so neither hashes a Value per binding. Width 0 is
+/// allowed: the empty key then is the only key.
+class CodeKeySet {
+ public:
+  explicit CodeKeySet(size_t width, size_t expected_keys = 0);
+
+  /// The id of `key` (`width` codes), adding it with the next id if absent.
+  uint32_t Insert(const TermCode* key);
+
+  size_t size() const { return size_; }
+  size_t width() const { return width_; }
+  /// Hands over every key, `width` codes per id in id order, and leaves the
+  /// set empty.
+  std::vector<TermCode> ReleaseKeys();
+
+ private:
+  const TermCode* key(uint32_t id) const {
+    return keys_.data() + static_cast<size_t>(id) * width_;
+  }
+  size_t Hash(const TermCode* key) const;
+  bool KeyEquals(uint32_t id, const TermCode* key) const;
+  void Grow();
+
+  size_t width_;
+  size_t size_ = 0;
+  std::vector<TermCode> keys_;
+  /// id + 1 per occupied slot, 0 when empty.
+  std::vector<uint32_t> slots_;
 };
 
 /// A columnar batch: named attributes over fixed-width TermCode vectors,
@@ -111,7 +165,7 @@ class ColumnBatch {
 };
 
 /// Hash of one live row of a batch across the given columns (FNV-style over
-/// the codes). Used by dedup, difference, and the access-binding dedup.
+/// the codes). Used by the join, dedup and difference.
 size_t HashBatchRow(const ColumnBatch& batch, const std::vector<int>& cols,
                     size_t i);
 

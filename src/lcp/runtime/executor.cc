@@ -156,9 +156,6 @@ bool DegradeOrFail(const Status& failure, RetryState& rs) {
   return true;
 }
 
-/// Consumes one successful binding answer: `rows` plus the truncation flag.
-using ConsumeRows = std::function<void(const std::vector<Tuple>& rows)>;
-
 /// Marks a truncated outcome on the execution result.
 void NoteTruncation(bool truncated, RetryState& rs) {
   if (!truncated) return;
@@ -166,62 +163,117 @@ void NoteTruncation(bool truncated, RetryState& rs) {
   ++rs.result->degraded_accesses;
 }
 
-/// Feeds the final outcome of one binding to the source-health registry
-/// (when tracking is on). Only kUnavailable counts as a source failure —
-/// deadline expiries and cancellations are caller-side verdicts; permanent
-/// errors (bad arity etc.) are plan bugs, not source sickness.
-void ReportBindingOutcome(AccessMethodId method, const Tuple& binding,
-                          const Status& final_status, RetryState& rs) {
-  if (rs.health == nullptr) return;
-  if (final_status.ok()) {
-    rs.health->RecordSuccess(method);
-  } else if (final_status.code() == StatusCode::kUnavailable) {
-    rs.health->RecordFailure(method, binding);
+/// Feeds the final outcome of each binding of one access command to the
+/// source-health registry (when tracking is on), folding every run of
+/// consecutive successes into one RecordSuccess call; the run is flushed
+/// before a failure is recorded and when the reporter goes out of scope.
+/// Only kUnavailable counts as a source failure — deadline expiries and
+/// cancellations are caller-side verdicts; permanent errors (bad arity etc.)
+/// are plan bugs, not source sickness.
+class HealthReporter {
+ public:
+  HealthReporter(AccessMethodId method, RetryState& rs)
+      : method_(method), health_(rs.health) {}
+  ~HealthReporter() { Flush(); }
+  HealthReporter(const HealthReporter&) = delete;
+  HealthReporter& operator=(const HealthReporter&) = delete;
+
+  void Success() { ++successes_; }
+
+  /// Reports a final status; `binding` is the probe payload on failure.
+  void Report(const Status& final_status, const Tuple& binding) {
+    if (final_status.ok()) {
+      Success();
+    } else if (final_status.code() == StatusCode::kUnavailable &&
+               health_ != nullptr) {
+      Flush();
+      health_->RecordFailure(method_, binding);
+    }
   }
-}
+
+ private:
+  void Flush() {
+    if (successes_ > 0 && health_ != nullptr) {
+      health_->RecordSuccess(method_, successes_);
+    }
+    successes_ = 0;
+  }
+
+  AccessMethodId method_;
+  SourceHealthRegistry* health_;
+  uint64_t successes_ = 0;
+};
+
+/// The row engine's side of DispatchBindings: Tuple bindings answered
+/// through TryAccessBatch, every answer handed to `consume` as Tuples.
+class TupleBatch {
+ public:
+  using Consume = std::function<void(const std::vector<Tuple>& rows)>;
+
+  TupleBatch(const std::vector<Tuple>& bindings, Consume consume)
+      : bindings_(bindings), consume_(std::move(consume)) {}
+
+  size_t size() const { return bindings_.size(); }
+  const Tuple& Binding(size_t i) const { return bindings_[i]; }
+  void Dispatch(AccessSource& source, AccessMethodId method) {
+    source.TryAccessBatch(method, bindings_, outcomes_);
+    LCP_CHECK_EQ(outcomes_.size(), bindings_.size())
+        << "TryAccessBatch must answer every binding";
+  }
+  const Status& status(size_t i) const { return outcomes_[i].status; }
+  bool truncated(size_t i) const { return outcomes_[i].truncated; }
+  void ConsumeEntry(size_t i) { consume_(outcomes_[i].Rows()); }
+  void ConsumeRows(const std::vector<Tuple>& rows) { consume_(rows); }
+
+ private:
+  const std::vector<Tuple>& bindings_;
+  Consume consume_;
+  std::vector<BatchEntryOutcome> outcomes_;
+};
 
 /// Runs every binding of one access command against the source and feeds
-/// each successful answer to `consume`, in binding order. This is the
-/// shared dispatch layer of both engines, so their source access sequences
-/// (and therefore seeded fault schedules) are identical by construction.
+/// each successful answer to the batch's consumer, in binding order. This
+/// is the shared dispatch layer of both engines — `Batch` is TupleBatch for
+/// the row engine and CodeBatch for the vectorized one — so their source
+/// access sequences (and therefore seeded fault schedules) are identical by
+/// construction.
 ///
-/// Fast path: one TryAccessBatch call for the whole batch of bindings;
-/// bindings whose batched first attempt failed transiently continue through
-/// the per-binding retry loop. With a circuit breaker armed, dispatch stays
+/// Fast path: one batched call for the whole batch of bindings; bindings
+/// whose batched first attempt failed transiently continue through the
+/// per-binding retry loop. With a circuit breaker armed, dispatch stays
 /// per-binding (sequential AccessWithRetry) so an opened breaker keeps the
 /// remaining bindings away from the source — batching an admission decision
 /// would defeat it.
+template <typename Batch>
 Status DispatchBindings(AccessSource& source, AccessMethodId method,
-                        const std::vector<Tuple>& bindings, RetryState& rs,
-                        const ConsumeRows& consume) {
-  if (bindings.empty()) return Status::Ok();
+                        Batch& batch, RetryState& rs) {
+  const size_t n = batch.size();
+  if (n == 0) return Status::Ok();
+  HealthReporter health(method, rs);
 
   if (rs.policy.breaker_threshold > 0) {
-    for (const Tuple& binding : bindings) {
+    for (size_t i = 0; i < n; ++i) {
+      const auto& binding = batch.Binding(i);
       Result<AccessOutcome> outcome =
           AccessWithRetry(source, method, binding, rs);
-      ReportBindingOutcome(method, binding, outcome.status(), rs);
+      health.Report(outcome.status(), binding);
       if (!outcome.ok()) {
         if (DegradeOrFail(outcome.status(), rs)) continue;
         return outcome.status();
       }
       ++rs.result->source_calls;
       NoteTruncation(outcome->truncated, rs);
-      consume(*outcome->tuples);
+      batch.ConsumeRows(*outcome->tuples);
     }
     return Status::Ok();
   }
 
   ++rs.result->exec.access_batches;
-  rs.result->exec.access_bindings += bindings.size();
-  std::vector<BatchEntryOutcome> outcomes;
-  source.TryAccessBatch(method, bindings, outcomes);
-  LCP_CHECK_EQ(outcomes.size(), bindings.size())
-      << "TryAccessBatch must answer every binding";
+  rs.result->exec.access_bindings += n;
+  batch.Dispatch(source, method);
 
   RetryStats& stats = rs.result->retry;
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    BatchEntryOutcome& entry = outcomes[i];
+  for (size_t i = 0; i < n; ++i) {
     if (rs.cancel != nullptr && rs.cancel->cancelled()) {
       return Status(rs.cancel->code(),
                     StrCat("execution cancelled while consuming batched "
@@ -238,28 +290,30 @@ Status DispatchBindings(AccessSource& source, AccessMethodId method,
       if (DegradeOrFail(expired, rs)) continue;
       return expired;
     }
-    if (entry.status.ok()) {
-      ReportBindingOutcome(method, bindings[i], entry.status, rs);
+    const Status& status = batch.status(i);
+    if (status.ok()) {
+      health.Success();
       ++rs.result->source_calls;
-      NoteTruncation(entry.truncated, rs);
-      consume(entry.Rows());
+      NoteTruncation(batch.truncated(i), rs);
+      batch.ConsumeEntry(i);
       continue;
     }
-    if (entry.status.code() != StatusCode::kUnavailable) {
+    if (status.code() != StatusCode::kUnavailable) {
       // Permanent error: never retried, always aborts the plan.
-      return entry.status;
+      return status;
     }
     ++stats.failures;
+    const auto& binding = batch.Binding(i);
     Result<AccessOutcome> retried =
-        AccessWithRetry(source, method, bindings[i], rs, &entry.status);
-    ReportBindingOutcome(method, bindings[i], retried.status(), rs);
+        AccessWithRetry(source, method, binding, rs, &status);
+    health.Report(retried.status(), binding);
     if (!retried.ok()) {
       if (DegradeOrFail(retried.status(), rs)) continue;
       return retried.status();
     }
     ++rs.result->source_calls;
     NoteTruncation(retried->truncated, rs);
-    consume(*retried->tuples);
+    batch.ConsumeRows(*retried->tuples);
   }
   return Status::Ok();
 }
@@ -394,19 +448,18 @@ Status RunAccessRow(const AccessCommand& access, const Schema& schema,
   }
   Table& out = env.emplace(access.output_table, Table(out_attrs)).first->second;
 
-  return DispatchBindings(
-      source, access.method, bindings, rs,
-      [&](const std::vector<Tuple>& rows) {
-        for (const Tuple& tuple : rows) {
-          if (!PassesPositionFilters(access, tuple)) continue;
-          Tuple row;
-          row.reserve(access.output_columns.size());
-          for (const auto& [attr, pos] : access.output_columns) {
-            row.push_back(tuple[pos]);
-          }
-          out.Insert(std::move(row));
-        }
-      });
+  TupleBatch batch(bindings, [&](const std::vector<Tuple>& rows) {
+    for (const Tuple& tuple : rows) {
+      if (!PassesPositionFilters(access, tuple)) continue;
+      Tuple row;
+      row.reserve(access.output_columns.size());
+      for (const auto& [attr, pos] : access.output_columns) {
+        row.push_back(tuple[pos]);
+      }
+      out.Insert(std::move(row));
+    }
+  });
+  return DispatchBindings(source, access.method, batch, rs);
 }
 
 Result<ExecutionResult> ExecutePlanRow(const Plan& plan, AccessSource& source,
@@ -456,54 +509,37 @@ Result<ExecutionResult> ExecutePlanRow(const Plan& plan, AccessSource& source,
 // ---------------------------------------------------------------------------
 
 /// Distinct access bindings in first-appearance order, deduped over term
-/// codes (no Value hashing), decoded once per distinct binding at the
-/// source boundary.
-Result<std::vector<Tuple>> ComputeAccessBindings(const AccessCommand& access,
-                                                 const AccessInputSpec& spec,
-                                                 const AccessMethod& method,
-                                                 const ColumnBatch& input_batch,
-                                                 TermPool& pool) {
-  std::vector<Tuple> bindings;
+/// codes; they stay codes across the source boundary.
+Result<CodeBindings> ComputeAccessBindings(const AccessCommand& access,
+                                           const AccessInputSpec& spec,
+                                           const AccessMethod& method,
+                                           const ColumnBatch& input_batch,
+                                           TermPool& pool) {
+  CodeBindings bindings;
+  bindings.width = static_cast<size_t>(spec.num_inputs);
   if (access.input != nullptr) {
-    std::vector<TermCode> constant_codes(spec.num_inputs, 0);
+    std::vector<TermCode> key(spec.num_inputs, 0);
     for (int slot = 0; slot < spec.num_inputs; ++slot) {
       if (spec.is_constant[slot]) {
-        constant_codes[slot] = pool.Intern(spec.constant_of[slot]);
+        key[slot] = pool.Intern(spec.constant_of[slot]);
       }
     }
     const size_t n = input_batch.num_rows();
-    std::vector<TermCode> key(spec.num_inputs);
-    std::vector<std::vector<TermCode>> distinct;  // kept binding code rows
-    RowHashIndex seen(n);
+    CodeKeySet distinct(bindings.width, n);
     for (size_t i = 0; i < n; ++i) {
-      size_t h = 0x811c9dc5;
       for (int slot = 0; slot < spec.num_inputs; ++slot) {
-        key[slot] = spec.is_constant[slot]
-                        ? constant_codes[slot]
-                        : input_batch.At(
-                              static_cast<size_t>(spec.column_of[slot]), i);
-        h ^= static_cast<size_t>(key[slot]) + 0x9e3779b97f4a7c15ULL;
-        h *= 0x01000193;
+        if (spec.is_constant[slot]) continue;
+        key[slot] =
+            input_batch.At(static_cast<size_t>(spec.column_of[slot]), i);
       }
-      bool dup = false;
-      seen.ForEachCandidate(h, [&](uint32_t kept) {
-        dup = distinct[kept] == key;
-        return dup;
-      });
-      if (dup) continue;
-      seen.Insert(h, static_cast<uint32_t>(distinct.size()));
-      distinct.push_back(key);
+      distinct.Insert(key.data());
     }
-    bindings.reserve(distinct.size());
-    for (const std::vector<TermCode>& codes : distinct) {
-      Tuple binding;
-      binding.reserve(codes.size());
-      for (TermCode code : codes) binding.push_back(pool.Decode(code));
-      bindings.push_back(std::move(binding));
-    }
+    bindings.count = distinct.size();
+    bindings.codes = distinct.ReleaseKeys();
   } else {
     LCP_ASSIGN_OR_RETURN(Tuple binding, ConstantOnlyBinding(spec, method));
-    bindings.push_back(std::move(binding));
+    for (const Value& v : binding) bindings.codes.push_back(pool.Intern(v));
+    bindings.count = 1;
   }
   return bindings;
 }
@@ -546,9 +582,105 @@ Status StoreAccessOutput(const AccessCommand& access, ColumnBatch fresh,
   return Status::Ok();
 }
 
+/// The vectorized engine's side of DispatchBindings: code bindings answered
+/// through TryAccessCodes, every answer row filtered and projected onto the
+/// access command's output columns as codes, without decoding. Answers that
+/// arrive as Tuples (the adapter's, and retried ones) are interned.
+class CodeBatch {
+ public:
+  CodeBatch(const AccessCommand& access, const CodeBindings& bindings,
+            size_t arity, TermPool& pool)
+      : access_(access),
+        bindings_(bindings),
+        arity_(arity),
+        pool_(pool),
+        columns_(access.output_columns.size()) {
+    for (const auto& [pos, value] : access.position_constants) {
+      // An unseen constant gets a fresh code that matches no answer code.
+      position_codes_.emplace_back(pos, pool.Intern(value));
+    }
+  }
+
+  size_t size() const { return bindings_.count; }
+  Tuple Binding(size_t i) const {
+    const TermCode* codes = bindings_.binding(i);
+    Tuple binding;
+    binding.reserve(bindings_.width);
+    for (size_t s = 0; s < bindings_.width; ++s) {
+      binding.push_back(pool_.Decode(codes[s]));
+    }
+    return binding;
+  }
+  void Dispatch(AccessSource& source, AccessMethodId method) {
+    source.TryAccessCodes(method, bindings_, pool_, answers_);
+    LCP_CHECK_EQ(answers_.entries.size(), bindings_.count)
+        << "TryAccessCodes must answer every binding";
+  }
+  const Status& status(size_t i) const { return answers_.entries[i].status; }
+  bool truncated(size_t i) const { return answers_.entries[i].truncated; }
+
+  void ConsumeEntry(size_t i) {
+    const CodeEntryOutcome& entry = answers_.entries[i];
+    if (entry.tuples != nullptr) {
+      ConsumeRows(*entry.tuples);
+      return;
+    }
+    for (size_t r = 0; r < entry.num_rows; ++r) {
+      const TermCode* row = entry.rows + r * arity_;
+      if (!Passes(row)) continue;
+      for (size_t k = 0; k < columns_.size(); ++k) {
+        columns_[k].push_back(row[access_.output_columns[k].second]);
+      }
+      ++num_rows_;
+    }
+  }
+  void ConsumeRows(const std::vector<Tuple>& rows) {
+    for (const Tuple& tuple : rows) {
+      if (!PassesPositionFilters(access_, tuple)) continue;
+      for (size_t k = 0; k < columns_.size(); ++k) {
+        columns_[k].push_back(
+            pool_.Intern(tuple[access_.output_columns[k].second]));
+      }
+      ++num_rows_;
+    }
+  }
+
+  /// The kept answers as a dense batch named by the output columns.
+  ColumnBatch TakeOutput() {
+    std::vector<std::string> attrs;
+    attrs.reserve(access_.output_columns.size());
+    for (const auto& [attr, pos] : access_.output_columns) {
+      attrs.push_back(attr);
+    }
+    return ColumnBatch::FromDense(std::move(attrs), std::move(columns_),
+                                  num_rows_);
+  }
+
+ private:
+  /// PassesPositionFilters over codes.
+  bool Passes(const TermCode* row) const {
+    for (const auto& [a, b] : access_.position_equalities) {
+      if (row[a] != row[b]) return false;
+    }
+    for (const auto& [pos, code] : position_codes_) {
+      if (row[pos] != code) return false;
+    }
+    return true;
+  }
+
+  const AccessCommand& access_;
+  const CodeBindings& bindings_;
+  size_t arity_;
+  TermPool& pool_;
+  std::vector<std::pair<int, TermCode>> position_codes_;
+  CodeBatchOutcome answers_;
+  std::vector<std::vector<TermCode>> columns_;
+  size_t num_rows_ = 0;
+};
+
 /// Runs one access command against the batch environment: evaluates the
 /// input expression columnar, dedups bindings over term codes, dispatches
-/// one batch, and collects the answers as fresh dictionary-encoded columns.
+/// one batch in codes, and keeps the answers as fresh columns.
 Status RunAccessVectorized(const AccessCommand& access, const Schema& schema,
                            AccessSource& source, BatchEnv& env, TermPool& pool,
                            RetryState& rs) {
@@ -566,35 +698,14 @@ Status RunAccessVectorized(const AccessCommand& access, const Schema& schema,
         return input_batch.AttrIndex(attr);
       }));
   LCP_ASSIGN_OR_RETURN(
-      std::vector<Tuple> bindings,
+      CodeBindings bindings,
       ComputeAccessBindings(access, spec, method, input_batch, pool));
 
-  // Collect answers column-wise, encoding each kept value once.
-  std::vector<std::string> out_attrs;
-  out_attrs.reserve(access.output_columns.size());
-  for (const auto& [attr, pos] : access.output_columns) {
-    out_attrs.push_back(attr);
-  }
-  std::vector<std::vector<TermCode>> out_cols(out_attrs.size());
-  size_t out_rows = 0;
-  Status dispatched = DispatchBindings(
-      source, access.method, bindings, rs,
-      [&](const std::vector<Tuple>& rows) {
-        for (const Tuple& tuple : rows) {
-          if (!PassesPositionFilters(access, tuple)) continue;
-          for (size_t k = 0; k < access.output_columns.size(); ++k) {
-            out_cols[k].push_back(
-                pool.Intern(tuple[access.output_columns[k].second]));
-          }
-          ++out_rows;
-        }
-      });
-  LCP_RETURN_IF_ERROR(dispatched);
-
-  ColumnBatch fresh =
-      ColumnBatch::FromDense(std::move(out_attrs), std::move(out_cols),
-                             out_rows);
-  return StoreAccessOutput(access, std::move(fresh), env, exec);
+  CodeBatch batch(access, bindings,
+                  static_cast<size_t>(schema.relation(method.relation).arity),
+                  pool);
+  LCP_RETURN_IF_ERROR(DispatchBindings(source, access.method, batch, rs));
+  return StoreAccessOutput(access, batch.TakeOutput(), env, exec);
 }
 
 Result<ExecutionResult> ExecutePlanVectorized(const Plan& plan,
@@ -603,7 +714,9 @@ Result<ExecutionResult> ExecutePlanVectorized(const Plan& plan,
                                               TableEnv* final_env) {
   ExecutionResult result;
   RetryState rs(options, source.schema(), result);
-  TermPool pool;
+  // Layered over the source's dictionary (if it has one): source codes are
+  // pool codes, and only values the source lacks are interned here.
+  TermPool pool(source.dictionary());
   BatchEnv env;
   for (const Command& cmd : plan.commands) {
     if (options.cancel != nullptr && options.cancel->cancelled()) {

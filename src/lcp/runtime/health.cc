@@ -54,18 +54,21 @@ void SourceHealthRegistry::Quarantine(size_t index, MethodState& s,
   if (!was_excluded) BumpEpoch();
 }
 
-void SourceHealthRegistry::RecordSuccess(AccessMethodId method) {
+void SourceHealthRegistry::RecordSuccess(AccessMethodId method,
+                                         uint64_t count) {
   const size_t index = static_cast<size_t>(method);
   LCP_CHECK(index < states_.size());
+  if (count == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
   MethodState& s = states_[index];
-  ++s.successes;
+  s.successes += count;
   s.consecutive_failures = 0;
   switch (s.state) {
     case MethodHealth::kProbing:
       // Probe answered: the source is back. Reset the backoff window so the
       // next wobble starts from a clean slate, re-admit the method, and
-      // advance the epoch so stale detour plans fall out of the cache.
+      // advance the epoch so stale detour plans fall out of the cache. The
+      // rest of a run finds the method healthy, where a success only counts.
       s.state = MethodHealth::kHealthy;
       s.window_micros = 0;
       quarantined_[index].store(0, std::memory_order_release);

@@ -91,7 +91,11 @@ class SourceHealthRegistry {
   /// While a method is kProbing, the outcome is interpreted as the probe
   /// result: success restores kHealthy (and bumps the epoch), failure
   /// re-quarantines with a backed-off window.
-  void RecordSuccess(AccessMethodId method);
+  ///
+  /// RecordSuccess(method, n) records a run of n consecutive successes
+  /// under one lock and leaves the same state as n calls of
+  /// RecordSuccess(method): the executor reports per run, not per binding.
+  void RecordSuccess(AccessMethodId method, uint64_t count = 1);
   void RecordFailure(AccessMethodId method, const Tuple& binding);
 
   /// Claims every method whose quarantine window has expired, transitioning

@@ -1,6 +1,7 @@
 #ifndef LCP_RUNTIME_SOURCE_H_
 #define LCP_RUNTIME_SOURCE_H_
 
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "lcp/base/result.h"
 #include "lcp/data/instance.h"
 #include "lcp/logic/ids.h"
+#include "lcp/ra/batch.h"
 #include "lcp/schema/schema.h"
 
 namespace lcp {
@@ -73,6 +75,40 @@ struct BatchEntryOutcome {
   }
 };
 
+/// A batch of access bindings as codes of one TermPool: `count` bindings of
+/// `width` codes each, row-major, in input-position order. An input-free
+/// method has width 0 and one binding (the paper's ∅ convention).
+struct CodeBindings {
+  size_t width = 0;
+  size_t count = 0;
+  std::vector<TermCode> codes;
+
+  const TermCode* binding(size_t i) const { return codes.data() + i * width; }
+};
+
+/// Per-binding outcome of one code-native batched access (TryAccessCodes).
+struct CodeEntryOutcome {
+  /// Ok, or the per-binding failure (kUnavailable = retryable).
+  Status status;
+  /// When `status` is OK, the answer: `num_rows` rows of the relation's
+  /// arity, row-major, as codes of the caller's pool — or, from the Tuple
+  /// adapter, `tuples`, which the caller interns as it keeps rows.
+  const TermCode* rows = nullptr;
+  size_t num_rows = 0;
+  const std::vector<Tuple>* tuples = nullptr;
+  bool truncated = false;
+};
+
+/// The answers of one TryAccessCodes call. Entries point either into
+/// storage the source keeps for its lifetime or into `adapted`, so they
+/// stay valid while this object lives and is not refilled — across
+/// interleaved single TryAccess calls (the executor's retries) included.
+struct CodeBatchOutcome {
+  std::vector<CodeEntryOutcome> entries;
+  /// The adapter's TryAccessBatch answers.
+  std::vector<BatchEntryOutcome> adapted;
+};
+
 /// A restricted-interface data source that can fail. This is the failure
 /// vocabulary every backend shares (see DESIGN.md, "Failure semantics and
 /// budgets"): an access either yields an AccessOutcome or a Status —
@@ -102,6 +138,26 @@ class AccessSource {
                               const std::vector<Tuple>& bindings,
                               std::vector<BatchEntryOutcome>& outcomes);
 
+  /// TryAccessBatch in term codes of `pool`: one access per binding of
+  /// `bindings`, and `out` refilled with one entry per binding in binding
+  /// order, answer rows encoded in `pool`. Same per-binding contract as
+  /// TryAccessBatch.
+  ///
+  /// The default is the adapter: it decodes the bindings, calls
+  /// TryAccessBatch, and hands back the Tuple answers, which the caller
+  /// interns as it keeps rows — today's Tuple path, so a source that speaks
+  /// only Tuples serves the vectorized engine exactly as before. A source
+  /// overrides it to answer in codes from its own dictionary when `pool` is
+  /// layered over dictionary().
+  virtual void TryAccessCodes(AccessMethodId method,
+                              const CodeBindings& bindings, TermPool& pool,
+                              CodeBatchOutcome& out);
+
+  /// The dictionary the source answers TryAccessCodes in, or null (the
+  /// default) when it has none. It must never grow once returned: the
+  /// executor layers each execution's pool over it.
+  virtual const TermPool* dictionary() { return nullptr; }
+
   virtual const Schema& schema() const = 0;
 };
 
@@ -113,13 +169,20 @@ class AccessSource {
 /// This is the substitution for the paper's remote sources (see DESIGN.md):
 /// it preserves exactly the behaviour the paper's cost model observes —
 /// which (method, input) pairs are invoked and how often.
+///
+/// Storage (DESIGN.md §9): on first use the source encodes its whole
+/// instance into one dictionary, which never changes afterwards, and builds
+/// per access method an index from input codes to the matching rows, kept
+/// as codes in instance order. Both entry points answer from that index;
+/// the Tuple API decodes a key's answer the first time it is asked for. The
+/// instance must not change once the source has been used.
 class SimulatedSource : public AccessSource {
  public:
   SimulatedSource(const Schema* schema, const Instance* instance);
 
   /// Performs one access: all tuples of the method's relation whose input
   /// positions equal `inputs` (given in input-position order). Meters the
-  /// call.
+  /// call. The reference stays valid for the lifetime of the source.
   const std::vector<Tuple>& Access(AccessMethodId method, const Tuple& inputs);
 
   /// AccessSource: an in-memory source never fails, so this is Access()
@@ -130,9 +193,19 @@ class SimulatedSource : public AccessSource {
   }
 
   /// Batched access without row copies: answers point straight into the
-  /// per-method index, which is stable for the lifetime of the source.
+  /// source's decoded answers, which are stable for its lifetime.
   void TryAccessBatch(AccessMethodId method, const std::vector<Tuple>& bindings,
                       std::vector<BatchEntryOutcome>& outcomes) override;
+
+  /// Answers straight from the code index when `pool` is layered over
+  /// dictionary(): no Value is hashed, decoded or copied per binding. A
+  /// binding code outside the dictionary names a value the instance does
+  /// not hold, so it matches nothing. Any other pool takes the adapter.
+  void TryAccessCodes(AccessMethodId method, const CodeBindings& bindings,
+                      TermPool& pool, CodeBatchOutcome& out) override;
+
+  /// Every value of the instance, coded on first use.
+  const TermPool* dictionary() override;
 
   const Schema& schema() const override { return *schema_; }
   const Instance& instance() const { return *instance_; }
@@ -147,20 +220,46 @@ class SimulatedSource : public AccessSource {
 
  private:
   struct MethodIndex {
-    bool built = false;
-    std::unordered_map<Tuple, std::vector<Tuple>, TupleHash> by_key;
+    explicit MethodIndex(size_t width) : keys(width) {}
+    /// Input codes of every key seen: first the keys with answers, in
+    /// instance order of first appearance, then keys accessed without one.
+    CodeKeySet keys;
+    /// Key k < num_answered has answer rows [row_start[k], row_start[k+1]).
+    std::vector<uint32_t> row_start;
+    size_t num_answered = 0;
+    /// Answer rows grouped by key, instance order within a key; `arity`
+    /// codes per row.
+    std::vector<TermCode> rows;
+    size_t arity = 0;
+    /// The method's cost, charged per call.
+    double cost = 0;
+    /// Per key: its (method, key) pair is already in distinct_pairs_.
+    std::vector<char> seen;
+    /// Tuple-API answers, decoded on first request; node-based, so the
+    /// references Access hands out stay valid.
+    std::unordered_map<uint32_t, std::vector<Tuple>> tuples;
   };
 
-  void BuildIndex(AccessMethodId method);
+  MethodIndex& Index(AccessMethodId method);
+  /// Meters one call of `method` on dictionary codes `key` and returns the
+  /// key's id in `index`.
+  uint32_t Call(AccessMethodId method, MethodIndex& index,
+                const TermCode* key);
+  /// Meters one call of `method` whose inputs include a value the instance
+  /// does not hold: it matches nothing.
+  void CallOutsideDictionary(AccessMethodId method, Tuple inputs);
 
   const Schema* schema_;
   const Instance* instance_;
-  std::vector<MethodIndex> indexes_;
+  /// Built once, by dictionary(); never changes afterwards.
+  std::unique_ptr<TermPool> dictionary_;
+  std::vector<std::unique_ptr<MethodIndex>> indexes_;
 
   size_t total_calls_ = 0;
   double charged_cost_ = 0;
   AccessPairSet distinct_pairs_;
   std::vector<Tuple> empty_result_;
+  std::vector<TermCode> key_scratch_;
 };
 
 }  // namespace lcp

@@ -1,5 +1,6 @@
 #include "lcp/service/plan_cache.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <utility>
@@ -75,6 +76,11 @@ PlanCache::PlanCache(const Options& options) {
 PlanCache::Probe PlanCache::ProbeLocked(Shard& shard, const std::string& key,
                                         uint64_t epoch) {
   Probe probe;
+  if (epoch < shard.floor) {
+    // Evicted epoch: whatever the key holds now belongs to a newer one.
+    probe.behind = true;
+    return probe;
+  }
   auto it = shard.map.find(key);
   if (it == shard.map.end()) return probe;
   const uint64_t resident = it->second->plan->epoch;
@@ -89,7 +95,7 @@ PlanCache::Probe PlanCache::ProbeLocked(Shard& shard, const std::string& key,
     probe.dropped_older = true;
   } else {
     // The probe is the stale one; the resident plan still serves.
-    probe.newer_resident = true;
+    probe.behind = true;
   }
   return probe;
 }
@@ -127,7 +133,7 @@ PlanCache::Ticket PlanCache::Acquire(const QueryFingerprint& fingerprint,
     if (probe.hit != nullptr) {
       ticket.kind = Ticket::Kind::kHit;
       ticket.plan = std::move(probe.hit);
-    } else if (!probe.newer_resident) {
+    } else if (!probe.behind) {
       std::shared_ptr<Flight>& slot = shard.flights[fingerprint.key];
       if (slot != nullptr && slot->epoch == epoch) {
         std::lock_guard<std::mutex> flight_lock(slot->mutex);
@@ -248,6 +254,13 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   std::shared_ptr<const CachedPlan> resident;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
+    if (epoch < shard.floor) {
+      // The search began before an EvictBelowEpoch and finished after it:
+      // its plan can serve no current request, so it must not take an LRU
+      // slot from one that can.
+      admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+      return entry;
+    }
     auto it = shard.map.find(fingerprint.key);
     if (it != shard.map.end()) {
       const CachedPlan& incumbent = *it->second->plan;
@@ -290,6 +303,7 @@ void PlanCache::EvictBelowEpoch(uint64_t epoch) {
   std::vector<std::shared_ptr<Flight>> invalidated;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
+    shard->floor = std::max(shard->floor, epoch);
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
       if (it->plan->epoch < epoch) {
         shard->map.erase(it->plan->fingerprint.key);

@@ -78,14 +78,19 @@ struct PlanCacheStats {
 ///     invalidated, so its followers wake to re-plan;
 ///   - r >  e: the probe is the stale one and changes nothing (a plain
 ///     miss; Acquire reports kBehind).
-/// EvictBelowEpoch applies the second case to every shard at once.
+/// EvictBelowEpoch(f) applies the second case to every shard at once and
+/// raises every shard's epoch floor to f: a probe below the floor is the
+/// stale one whether or not the key holds anything (a plain miss, kBehind),
+/// and an insert below it is declined like an insert older than the
+/// resident entry.
 ///
 /// Admission is cost-aware: inserting a plan for a key that already holds a
 /// *cheaper* same-epoch plan is rejected (the incumbent is refreshed
 /// instead), so a budget-truncated anytime search can never clobber a
 /// better plan found by an earlier, luckier request. An insert under an
-/// epoch older than the resident entry's is not admitted either: a search
-/// that outlived an epoch change must not evict a current plan.
+/// epoch older than the resident entry's, or below the floor, is not
+/// admitted either: a search that outlived an epoch change must not evict a
+/// current plan.
 class PlanCache {
  public:
   struct Options {
@@ -141,7 +146,8 @@ class PlanCache {
   /// Inserts `plan` under (fingerprint, epoch), evicting the shard's LRU
   /// entry if at capacity. Returns the resident entry for the key after the
   /// call: the new plan, or the kept cheaper same-epoch incumbent; an insert
-  /// older than the resident entry's epoch returns the new plan uncached.
+  /// older than the resident entry's epoch or below the shard's floor
+  /// returns the new plan uncached.
   /// `detour` marks a failover plan (see CachedPlan::detour).
   std::shared_ptr<const CachedPlan> Insert(const QueryFingerprint& fingerprint,
                                            uint64_t epoch, Plan plan,
@@ -176,9 +182,10 @@ class PlanCache {
                   const std::function<bool()>& should_detach);
 
   /// Drops every entry and invalidates every flight whose epoch is strictly
-  /// below `epoch`, in one walk over the shards. O(size); call after a
-  /// schema change so stale entries release memory eagerly and followers of
-  /// dead flights re-plan at once.
+  /// below `epoch`, in one walk over the shards, and raises each shard's
+  /// floor to `epoch` so no later call brings a dead epoch back. O(size);
+  /// call after a schema change so stale entries release memory eagerly and
+  /// followers of dead flights re-plan at once.
   void EvictBelowEpoch(uint64_t epoch);
 
   /// Total resident entries (sums shard sizes; takes each shard mutex).
@@ -213,12 +220,16 @@ class PlanCache {
     std::unordered_map<std::string, std::list<Entry>::iterator> map;
     /// In-flight searches, at most one per key.
     std::unordered_map<std::string, std::shared_ptr<Flight>> flights;
+    /// Epochs below this are dead (the last EvictBelowEpoch).
+    uint64_t floor = 0;
   };
   /// How a probe at some epoch met the key's resident entry.
   struct Probe {
     std::shared_ptr<const CachedPlan> hit;
     bool dropped_older = false;
-    bool newer_resident = false;
+    /// The probe's epoch is stale: below the floor, or older than the
+    /// resident entry's.
+    bool behind = false;
   };
 
   Shard& ShardFor(const QueryFingerprint& fingerprint) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "exec_scenario.h"
 #include "lcp/base/budget.h"
@@ -22,6 +23,54 @@ namespace {
 using exec_testing::ExpectIdentical;
 using exec_testing::ScenarioBuilder;
 using exec_testing::StressIters;
+
+/// Forwards only the Tuple entry points, so the vectorized engine reaches
+/// the wrapped source through AccessSource's default code adapter.
+class PassThroughSource : public AccessSource {
+ public:
+  explicit PassThroughSource(SimulatedSource* inner) : inner_(inner) {}
+  Result<AccessOutcome> TryAccess(AccessMethodId method,
+                                  const Tuple& inputs) override {
+    return inner_->TryAccess(method, inputs);
+  }
+  void TryAccessBatch(AccessMethodId method, const std::vector<Tuple>& bindings,
+                      std::vector<BatchEntryOutcome>& outcomes) override {
+    inner_->TryAccessBatch(method, bindings, outcomes);
+  }
+  const Schema& schema() const override { return inner_->schema(); }
+
+ private:
+  SimulatedSource* inner_;
+};
+
+/// The counters ExpectIdentical leaves out: every RetryStats field, and the
+/// ExecStats both engines fill (the access path) or, with `operators`, all
+/// of them.
+void ExpectSameStats(const ExecutionResult& a, const ExecutionResult& b,
+                     bool operators, int seed) {
+  EXPECT_EQ(a.retry.breaker_trips, b.retry.breaker_trips) << "seed " << seed;
+  EXPECT_EQ(a.retry.breaker_short_circuits, b.retry.breaker_short_circuits)
+      << "seed " << seed;
+  EXPECT_EQ(a.retry.backoff_micros, b.retry.backoff_micros) << "seed " << seed;
+  EXPECT_EQ(a.exec.access_batches, b.exec.access_batches) << "seed " << seed;
+  EXPECT_EQ(a.exec.access_bindings, b.exec.access_bindings) << "seed " << seed;
+  if (!operators) return;
+  EXPECT_EQ(a.exec.batches, b.exec.batches) << "seed " << seed;
+  EXPECT_EQ(a.exec.rows_in, b.exec.rows_in) << "seed " << seed;
+  EXPECT_EQ(a.exec.rows_out, b.exec.rows_out) << "seed " << seed;
+  EXPECT_EQ(a.exec.probe_hits, b.exec.probe_hits) << "seed " << seed;
+  EXPECT_EQ(a.exec.dedup_drops, b.exec.dedup_drops) << "seed " << seed;
+  EXPECT_EQ(a.exec.max_batch_rows, b.exec.max_batch_rows) << "seed " << seed;
+}
+
+/// Theorem 8's accounting: the same calls, the same charged cost, and the
+/// same set of (method, binding) pairs.
+void ExpectSameAccounting(const SimulatedSource& a, const SimulatedSource& b,
+                          int seed) {
+  EXPECT_EQ(a.total_calls(), b.total_calls()) << "seed " << seed;
+  EXPECT_EQ(a.charged_cost(), b.charged_cost()) << "seed " << seed;
+  EXPECT_TRUE(a.distinct_pairs() == b.distinct_pairs()) << "seed " << seed;
+}
 
 TEST(ExecVectorizedDifferentialTest, FaultFreeRunsAreBitIdentical) {
   const int iters = StressIters(40);
@@ -42,16 +91,29 @@ TEST(ExecVectorizedDifferentialTest, FaultFreeRunsAreBitIdentical) {
     vec_opts.engine = ExecutionEngine::kVectorized;
     auto vec = ExecutePlan(plan, vec_source, vec_opts);
 
+    // The vectorized engine again, through the Tuple-to-code adapter.
+    SimulatedSource adapter_source(&schema, &instance);
+    PassThroughSource pass_through(&adapter_source);
+    auto adapted = ExecutePlan(plan, pass_through, vec_opts);
+
     ASSERT_EQ(row.ok(), vec.ok())
         << "seed " << seed << ": row=" << row.status().message()
         << " vec=" << vec.status().message();
+    ASSERT_EQ(row.ok(), adapted.ok())
+        << "seed " << seed << ": row=" << row.status().message()
+        << " adapted=" << adapted.status().message();
     if (!row.ok()) {
       EXPECT_EQ(row.status().code(), vec.status().code()) << "seed " << seed;
       EXPECT_EQ(row.status().message(), vec.status().message())
           << "seed " << seed;
+      EXPECT_EQ(row.status().message(), adapted.status().message())
+          << "seed " << seed;
       continue;
     }
     ExpectIdentical(*row, *vec, seed);
+    ExpectIdentical(*row, *adapted, seed);
+    ExpectSameStats(*row, *vec, /*operators=*/false, seed);
+    ExpectSameStats(*vec, *adapted, /*operators=*/true, seed);
     // Identical access sequences: same number of source hits and the same
     // distinct (method, binding) set.
     EXPECT_EQ(row_source.total_calls(), vec_source.total_calls())
@@ -59,7 +121,108 @@ TEST(ExecVectorizedDifferentialTest, FaultFreeRunsAreBitIdentical) {
     EXPECT_EQ(row_source.distinct_pairs().size(),
               vec_source.distinct_pairs().size())
         << "seed " << seed;
+    ExpectSameAccounting(row_source, vec_source, seed);
+    ExpectSameAccounting(row_source, adapter_source, seed);
   }
+}
+
+TEST(ExecVectorizedDifferentialTest, AbsentConstantMatchesNothing) {
+  // A plan that selects on, and binds, a value the instance does not hold:
+  // the code path gives it a pool code above the source's dictionary, so it
+  // matches nothing, and the binding still costs one call and one pair.
+  Schema schema;
+  RelationId r = schema.AddRelation("R", 2).value();
+  RelationId s = schema.AddRelation("S", 2).value();
+  schema.AddAccessMethod("mt_r_free", r, {}, 2.0).value();
+  schema.AddAccessMethod("mt_s_by0", s, {0}, 5.0).value();
+  Instance instance(&schema);
+  for (int i = 0; i < 8; ++i) {
+    instance.AddFact(0, Tuple{Value::Int(i), Value::Int(i % 4)});
+    instance.AddFact(1, Tuple{Value::Int(i % 4), Value::Int(i * 10)});
+  }
+  const Value absent = Value::Str("absent");
+
+  Plan plan;
+  AccessCommand scan;
+  scan.method = 0;
+  scan.output_table = "t0";
+  scan.output_columns = {{"a", 0}, {"b", 1}};
+  plan.commands.push_back(scan);
+  AccessCommand filtered = scan;  // selects on the absent constant
+  filtered.output_table = "t1";
+  filtered.position_constants = {{1, absent}};
+  plan.commands.push_back(filtered);
+  AccessCommand probe;
+  probe.method = 1;
+  probe.input = RaExpr::Project(RaExpr::TempScan("t0"), {"b"});
+  probe.input_binding = {{"b", 0}};
+  probe.output_table = "t2";
+  probe.output_columns = {{"b", 0}, {"c", 1}};
+  plan.commands.push_back(probe);
+  AccessCommand bound;  // binds the absent constant
+  bound.method = 1;
+  bound.constant_inputs = {{0, absent}};
+  bound.output_table = "t3";
+  bound.output_columns = {{"b", 0}, {"c", 1}};
+  plan.commands.push_back(bound);
+  RaExpr::Condition c_is_absent;
+  c_is_absent.kind = RaExpr::Condition::Kind::kAttrEqConst;
+  c_is_absent.lhs = "c";
+  c_is_absent.rhs_const = absent;
+  plan.commands.push_back(QueryCommand{
+      "t4", RaExpr::Union(
+                RaExpr::Union(RaExpr::TempScan("t2"), RaExpr::TempScan("t3")),
+                RaExpr::Select(RaExpr::TempScan("t2"), {c_is_absent}))});
+  plan.commands.push_back(QueryCommand{
+      "t5", RaExpr::Union(
+                RaExpr::Project(RaExpr::TempScan("t1"), {"b"}),
+                RaExpr::Project(RaExpr::TempScan("t4"), {"b"}))});
+  plan.output_table = "t5";
+  plan.output_attrs = {"b"};
+
+  SimulatedSource row_source(&schema, &instance);
+  ExecutionOptions row_opts;
+  row_opts.engine = ExecutionEngine::kRowOracle;
+  auto row = ExecutePlan(plan, row_source, row_opts);
+  SimulatedSource vec_source(&schema, &instance);
+  ExecutionOptions vec_opts;
+  TableEnv vec_env;
+  auto vec = ExecutePlan(plan, vec_source, vec_opts, &vec_env);
+  SimulatedSource adapter_source(&schema, &instance);
+  PassThroughSource pass_through(&adapter_source);
+  auto adapted = ExecutePlan(plan, pass_through, vec_opts);
+  ASSERT_TRUE(row.ok()) << row.status();
+  ASSERT_TRUE(vec.ok()) << vec.status();
+  ASSERT_TRUE(adapted.ok()) << adapted.status();
+  ExpectIdentical(*row, *vec, 0);
+  ExpectIdentical(*row, *adapted, 0);
+  ExpectSameStats(*row, *vec, /*operators=*/false, 0);
+  ExpectSameStats(*vec, *adapted, /*operators=*/true, 0);
+  ExpectSameAccounting(row_source, vec_source, 0);
+  ExpectSameAccounting(row_source, adapter_source, 0);
+
+  // It matches nothing: the filtered scan, the bound probe and the
+  // selection are empty, and the answer is the four keys of S.
+  EXPECT_TRUE(vec_env.at("t1").empty());
+  EXPECT_TRUE(vec_env.at("t3").empty());
+  EXPECT_EQ(vec->output.size(), 4u);
+  // Two free scans, four keyed probes and the absent binding; the free
+  // scans share one pair.
+  EXPECT_EQ(vec_source.total_calls(), 7u);
+  EXPECT_EQ(vec_source.distinct_pairs().size(), 6u);
+  EXPECT_EQ(vec_source.distinct_pairs().count(AccessPair{1, Tuple{absent}}),
+            1u);
+  EXPECT_EQ(vec_source.charged_cost(), 2.0 + 2.0 + 5 * 5.0);
+
+  // The dictionary never took the value, and a pool layered over it codes
+  // the value above every dictionary code.
+  const TermPool* dictionary = vec_source.dictionary();
+  ASSERT_NE(dictionary, nullptr);
+  EXPECT_FALSE(dictionary->Find(absent).has_value());
+  EXPECT_EQ(dictionary->size(), 15u);  // 0..7 and 10, 20, ..., 70
+  TermPool pool(dictionary);
+  EXPECT_GE(pool.Intern(absent), dictionary->size());
+  EXPECT_EQ(pool.Intern(Value::Int(3)), *dictionary->Find(Value::Int(3)));
 }
 
 TEST(ExecVectorizedDifferentialTest, SeededFaultRunsAreBitIdentical) {

@@ -187,6 +187,82 @@ TEST(SourceHealthRegistryTest, IndependentMethodsTrackIndependently) {
 /// TSan target: concurrent recorders, probers, and lock-free readers. The
 /// assertions are deliberately weak — the test exists to race the mutex-held
 /// state against IsQuarantined/availability_epoch readers.
+TEST(SourceHealthRegistryTest, CountedSuccessEqualsRepeatedSuccesses) {
+  // The executor reports a run of n consecutive successes as one
+  // RecordSuccess(m, n); from every state it must leave what n single calls
+  // leave.
+  enum class Start { kHealthyWithFailures, kProbing, kQuarantined };
+  constexpr uint64_t kRun = 5;
+  auto drive = [](SourceHealthRegistry& registry, SharedVirtualClock& clock,
+                  Start start) {
+    switch (start) {
+      case Start::kHealthyWithFailures:
+        registry.RecordFailure(1, kBinding);
+        registry.RecordFailure(1, kBinding);
+        break;
+      case Start::kProbing:
+        for (int i = 0; i < 3; ++i) registry.RecordFailure(1, kBinding);
+        clock.Advance(1000);
+        ASSERT_EQ(registry.TakeDueProbes().size(), 1u);
+        break;
+      case Start::kQuarantined:
+        for (int i = 0; i < 3; ++i) registry.RecordFailure(1, kBinding);
+        break;
+    }
+  };
+  for (Start start :
+       {Start::kHealthyWithFailures, Start::kProbing, Start::kQuarantined}) {
+    Schema schema = MakeSchema();
+    SharedVirtualClock counted_clock, single_clock;
+    SourceHealthRegistry counted(&schema, FastOptions(&counted_clock));
+    SourceHealthRegistry single(&schema, FastOptions(&single_clock));
+    drive(counted, counted_clock, start);
+    drive(single, single_clock, start);
+    const uint64_t epoch_before = counted.availability_epoch();
+    const MethodHealth state_before = counted.Snapshot(1).state;
+
+    counted.RecordSuccess(1, kRun);
+    for (uint64_t i = 0; i < kRun; ++i) single.RecordSuccess(1);
+
+    const int label = static_cast<int>(start);
+    const MethodHealthSnapshot a = counted.Snapshot(1);
+    const MethodHealthSnapshot b = single.Snapshot(1);
+    EXPECT_EQ(a.state, b.state) << label;
+    EXPECT_EQ(a.consecutive_failures, b.consecutive_failures) << label;
+    EXPECT_EQ(a.quarantined_until, b.quarantined_until) << label;
+    EXPECT_EQ(a.successes, b.successes) << label;
+    EXPECT_EQ(a.failures, b.failures) << label;
+    EXPECT_EQ(a.probes_sent, b.probes_sent) << label;
+    EXPECT_EQ(a.successes, kRun) << label;
+    EXPECT_EQ(counted.availability_epoch(), single.availability_epoch())
+        << label;
+    EXPECT_EQ(counted.IsQuarantined(1), single.IsQuarantined(1)) << label;
+    EXPECT_EQ(counted.stats().recoveries, single.stats().recoveries) << label;
+    EXPECT_EQ(counted.stats().epoch_bumps, single.stats().epoch_bumps)
+        << label;
+    switch (start) {
+      case Start::kHealthyWithFailures:
+        EXPECT_EQ(a.state, MethodHealth::kHealthy);
+        EXPECT_EQ(a.consecutive_failures, 0);
+        EXPECT_EQ(counted.availability_epoch(), epoch_before);
+        break;
+      case Start::kProbing:
+        // Exactly one recovery and one epoch bump for the whole run.
+        EXPECT_EQ(a.state, MethodHealth::kHealthy);
+        EXPECT_EQ(counted.stats().recoveries, 1u);
+        EXPECT_EQ(counted.availability_epoch(), epoch_before + 1);
+        break;
+      case Start::kQuarantined:
+        // Straggler successes change neither the state nor the mask.
+        EXPECT_EQ(a.state, state_before);
+        EXPECT_EQ(a.state, MethodHealth::kQuarantined);
+        EXPECT_TRUE(counted.IsQuarantined(1));
+        EXPECT_EQ(counted.availability_epoch(), epoch_before);
+        break;
+    }
+  }
+}
+
 TEST(SourceHealthRegistryTest, ConcurrentRecordersAndReadersAreSafe) {
   Schema schema = MakeSchema();
   SharedVirtualClock clock;

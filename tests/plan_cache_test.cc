@@ -185,6 +185,31 @@ TEST(PlanCacheTest, EvictBelowEpoch) {
   EXPECT_NE(cache.Lookup(Fp(3, "c"), 2), nullptr);
 }
 
+TEST(PlanCacheTest, InsertBelowEvictedEpochKeepsTheLivePlan) {
+  // A search that began before an EvictBelowEpoch finishes after it, when
+  // no entry is resident for its key: its dead-epoch plan must not take the
+  // LRU slot of a live plan.
+  PlanCache cache(SingleShard(1));
+  QueryFingerprint live = Fp(1, "live"), late = Fp(1, "late");
+  cache.EvictBelowEpoch(2);
+  cache.Insert(live, 2, NamedPlan("live"), 1.0);
+  auto served = cache.Insert(late, 1, NamedPlan("late"), 1.0);
+  // The late request still serves the plan it found, uncached.
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->plan.output_table, "late");
+
+  auto hit = cache.Lookup(live, 2);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->plan.output_table, "live");
+  PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.admission_rejects, 1u);
+  EXPECT_EQ(stats.inserts, 1u);
+  // A probe below the floor is a plain miss.
+  EXPECT_EQ(cache.Lookup(late, 1), nullptr);
+  EXPECT_EQ(cache.stats().stale_misses, 0u);
+}
+
 TEST(PlanCacheTest, EntriesSpreadAcrossShards) {
   PlanCache::Options options;
   options.num_shards = 4;
@@ -374,6 +399,29 @@ TEST(PlanCacheFlightTest, OlderAcquireLeavesANewerFlightAndPlan) {
   EXPECT_EQ(cache.Acquire(fp, 1).kind, Kind::kBehind);
   EXPECT_EQ(cache.Acquire(fp, 2).plan, plan);
   EXPECT_EQ(cache.stats().stale_misses, 0u);
+}
+
+TEST(PlanCacheFlightTest, AcquireBelowTheFloorIsBehind) {
+  // After EvictBelowEpoch(2) an epoch-1 Acquire neither leads a new flight
+  // for the dead epoch nor joins the live one.
+  PlanCache cache(SingleShard(4));
+  QueryFingerprint fp = Fp(1, "q"), empty = Fp(2, "empty");
+  cache.EvictBelowEpoch(2);
+  PlanCache::Ticket dead = cache.Acquire(empty, 1);
+  EXPECT_EQ(dead.kind, Kind::kBehind);
+  EXPECT_EQ(dead.flight, nullptr);
+  EXPECT_EQ(cache.Acquire(empty, 2).kind, Kind::kLead)
+      << "the dead probe left no flight behind";
+
+  PlanCache::Ticket leader = cache.Acquire(fp, 2);
+  ASSERT_EQ(leader.kind, Kind::kLead);
+  PlanCache::Ticket older = cache.Acquire(fp, 1);
+  EXPECT_EQ(older.kind, Kind::kBehind);
+  EXPECT_EQ(older.flight, nullptr);
+  EXPECT_EQ(cache.waiting(), 0u);
+  PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 4u);
 }
 
 TEST(PlanCacheFlightTest, ConcurrentAcquiresAndEvictionKeepOneLeaderPerEpoch) {
