@@ -6,6 +6,11 @@
 //  - join-heavy: a four-leaf join chain written cartesian-product-first,
 //    with a selection left above one scan. Join reorder groups shared
 //    attributes, pushdown folds the selection into the access.
+//  - chain: the proof plan of the referential chain R0 -> ... -> R4
+//    (perfbench's exec_heavy shape): five dependent accesses, each
+//    followed by the join of its answers back onto its binding table.
+//    Binding-join elimination turns the four joins into scans; the cost
+//    stays 5.
 //
 // BM_Optimize* measures the optimizer's own latency and records
 // cost-before/after for the full pipeline plus the per-pass cost deltas as
@@ -20,11 +25,15 @@
 #include <utility>
 #include <vector>
 
+#include "lcp/accessible/accessible_schema.h"
 #include "lcp/base/strings.h"
+#include "lcp/data/generator.h"
 #include "lcp/plan/opt/pass_manager.h"
 #include "lcp/plan/validate.h"
+#include "lcp/planner/proof_search.h"
 #include "lcp/runtime/executor.h"
 #include "lcp/runtime/source.h"
+#include "lcp/workload/scenarios.h"
 
 namespace {
 
@@ -111,6 +120,29 @@ Family MakeJoinHeavy(int rows) {
   return family;
 }
 
+/// The literal proof plan of MakeChainScenario(4)'s Q(a) :- R0(a, b) over
+/// `rows` generated facts per relation drawn from `rows` values.
+Family MakeChain(int rows) {
+  Family family;
+  Scenario scenario = MakeChainScenario(4).value();
+  family.schema = std::move(scenario.schema);
+  AccessibleSchema accessible =
+      AccessibleSchema::Build(*family.schema, AccessibleVariant::kStandard)
+          .value();
+  SimpleCostFunction cost(family.schema.get());
+  family.plan = ProofSearch(&accessible, &cost)
+                    .Run(scenario.query, SearchOptions{})
+                    .value()
+                    .best->plan;
+  GeneratorOptions gen;
+  gen.facts_per_relation = rows;
+  gen.domain_size = rows;
+  gen.seed = 1;
+  family.instance = std::make_unique<Instance>(
+      GenerateInstance(*family.schema, gen).value());
+  return family;
+}
+
 void RecordOptimizeCounters(benchmark::State& state, const Family& family) {
   SimpleCostFunction cost(family.schema.get());
   plan_opt::PassManager manager;
@@ -123,10 +155,13 @@ void RecordOptimizeCounters(benchmark::State& state, const Family& family) {
   state.counters["commands_after"] = stats.commands_after;
   state.counters["access_before"] = stats.access_commands_before;
   state.counters["access_after"] = stats.access_commands_after;
+  int joins_removed = 0;
   for (const plan_opt::PassStats& pass : stats.passes) {
     state.counters[pass.pass + "_cost_delta"] =
         pass.cost_before - pass.cost_after;
+    joins_removed += pass.joins_removed;
   }
+  state.counters["joins_removed"] = joins_removed;
 }
 
 void BM_OptimizeAccessRedundant(benchmark::State& state) {
@@ -153,6 +188,18 @@ void BM_OptimizeJoinHeavy(benchmark::State& state) {
   RecordOptimizeCounters(state, family);
 }
 BENCHMARK(BM_OptimizeJoinHeavy);
+
+void BM_OptimizeChain(benchmark::State& state) {
+  Family family = MakeChain(/*rows=*/64);
+  SimpleCostFunction cost(family.schema.get());
+  plan_opt::PassManager manager;
+  for (auto _ : state) {
+    auto optimized = manager.Optimize(family.plan, *family.schema, cost);
+    benchmark::DoNotOptimize(optimized);
+  }
+  RecordOptimizeCounters(state, family);
+}
+BENCHMARK(BM_OptimizeChain);
 
 void RunExecBench(benchmark::State& state, const Family& family,
                   bool optimize) {
@@ -199,6 +246,18 @@ void BM_ExecJoinHeavyOpt(benchmark::State& state) {
   RunExecBench(state, family, /*optimize=*/true);
 }
 BENCHMARK(BM_ExecJoinHeavyOpt)->Unit(benchmark::kMicrosecond);
+
+void BM_ExecChainUnopt(benchmark::State& state) {
+  Family family = MakeChain(/*rows=*/1024);
+  RunExecBench(state, family, /*optimize=*/false);
+}
+BENCHMARK(BM_ExecChainUnopt)->Unit(benchmark::kMicrosecond);
+
+void BM_ExecChainOpt(benchmark::State& state) {
+  Family family = MakeChain(/*rows=*/1024);
+  RunExecBench(state, family, /*optimize=*/true);
+}
+BENCHMARK(BM_ExecChainOpt)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

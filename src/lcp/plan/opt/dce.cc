@@ -1,5 +1,6 @@
 #include "lcp/plan/opt/dce.h"
 
+#include <algorithm>
 #include <string>
 #include <unordered_set>
 #include <variant>
@@ -24,6 +25,7 @@ bool DcePass::Run(Plan& plan, const Schema& /*schema*/,
     live.insert(referenced.begin(), referenced.end());
   }
 
+  if (std::find(keep.begin(), keep.end(), false) == keep.end()) return false;
   std::vector<Command> kept;
   kept.reserve(plan.commands.size());
   for (size_t i = 0; i < plan.commands.size(); ++i) {
@@ -36,7 +38,6 @@ bool DcePass::Run(Plan& plan, const Schema& /*schema*/,
       ++stats.access_commands_removed;
     }
   }
-  if (kept.size() == plan.commands.size()) return false;
   plan.commands = std::move(kept);
   ++stats.applications;
   return true;

@@ -26,6 +26,9 @@ struct PassStats {
   int inputs_narrowed = 0;
   /// Join chains rebuilt in a different leaf order.
   int joins_reordered = 0;
+  /// Joins of an access's answers back onto its binding table, replaced by
+  /// a scan of the answers.
+  int joins_removed = 0;
   /// Pass outputs discarded by the manager (failed validation or raised
   /// cost). Always zero in a healthy build; counted so it is observable.
   int rejected = 0;
@@ -44,6 +47,9 @@ class PlanPass {
   virtual ~PlanPass() = default;
   virtual const char* name() const = 0;
   virtual bool Run(Plan& plan, const Schema& schema, PassStats& stats) const = 0;
+  /// A cheap read-only test the PassManager makes before it copies the plan
+  /// for Run: false promises that Run would change nothing.
+  virtual bool MayChange(const Plan& /*plan*/) const { return true; }
 };
 
 }  // namespace plan_opt

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "lcp/plan/opt/binding_join.h"
 #include "lcp/plan/opt/cse.h"
 #include "lcp/plan/opt/dce.h"
 #include "lcp/plan/opt/join_reorder.h"
@@ -29,6 +30,7 @@ void Accumulate(PassStats& total, const PassStats& delta) {
   total.selections_folded += delta.selections_folded;
   total.inputs_narrowed += delta.inputs_narrowed;
   total.joins_reordered += delta.joins_reordered;
+  total.joins_removed += delta.joins_removed;
   total.rejected += delta.rejected;
 }
 
@@ -49,6 +51,7 @@ std::string OptimizeStats::ToString() const {
        << " folds=" << pass.selections_folded
        << " narrowed=" << pass.inputs_narrowed
        << " reordered=" << pass.joins_reordered
+       << " joins_removed=" << pass.joins_removed
        << " rejected=" << pass.rejected << " cost " << pass.cost_before
        << " -> " << pass.cost_after << "\n";
   }
@@ -64,6 +67,9 @@ PassManager::PassManager() {
   passes_.push_back(std::make_unique<PushdownPass>());
   passes_.push_back(std::make_unique<DcePass>());
   passes_.push_back(std::make_unique<JoinReorderPass>());
+  // Outside the loop: one last-to-first walk collapses a whole chain of
+  // binding joins, and what it leaves gives the loop's passes nothing new.
+  final_pass_ = std::make_unique<BindingJoinPass>();
 }
 
 Result<Plan> PassManager::Optimize(const Plan& plan, const Schema& schema,
@@ -77,49 +83,62 @@ Result<Plan> PassManager::Optimize(const Plan& plan, const Schema& schema,
   out.cost_before = cost.Cost(plan);
   out.commands_before = static_cast<int>(plan.commands.size());
   out.access_commands_before = plan.NumAccessCommands();
-  out.passes.reserve(passes_.size());
+  out.passes.reserve(passes_.size() + 1);
   for (const auto& pass : passes_) {
     PassStats ps;
     ps.pass = pass->name();
     out.passes.push_back(std::move(ps));
   }
+  PassStats final_stats;
+  final_stats.pass = final_pass_->name();
+  out.passes.push_back(std::move(final_stats));
 
   Plan current = plan;
   double current_cost = out.cost_before;
-  for (int iter = 0; iter < kMaxFixpointIterations; ++iter) {
-    ++out.fixpoint_iterations;
-    bool iteration_changed = false;
-    for (size_t i = 0; i < passes_.size(); ++i) {
-      PassStats delta;
-      const double entry_cost = current_cost;
-      // Per-pass cost attribution: cost_before is pinned at the pass's
-      // first run, and only savings from *this* pass's accepted runs are
-      // subtracted from its cost_after — so (before - after) is the cost
-      // drop this pass is responsible for, not the pipeline total.
-      if (iter == 0) {
-        out.passes[i].cost_before = entry_cost;
-        out.passes[i].cost_after = entry_cost;
-      }
+  // Runs one pass on `current` behind the validation and cost guard, and
+  // charges its counters to `total`. True iff the output was kept.
+  auto run_pass = [&](const PlanPass& pass, PassStats& total,
+                      bool first_run) {
+    PassStats delta;
+    const double entry_cost = current_cost;
+    // Per-pass cost attribution: cost_before is pinned at the pass's
+    // first run, and only savings from *this* pass's accepted runs are
+    // subtracted from its cost_after — so (before - after) is the cost
+    // drop this pass is responsible for, not the pipeline total.
+    if (first_run) {
+      total.cost_before = entry_cost;
+      total.cost_after = entry_cost;
+    }
+    bool kept = false;
+    if (pass.MayChange(current)) {
       Plan candidate = current;
-      bool pass_changed = passes_[i]->Run(candidate, schema, delta);
-      if (pass_changed) {
+      if (pass.Run(candidate, schema, delta)) {
         double candidate_cost = cost.Cost(candidate);
         if (ValidatePlan(candidate, schema).ok() &&
             candidate_cost <= current_cost + kCostEpsilon) {
           current = std::move(candidate);
           current_cost = candidate_cost;
-          iteration_changed = true;
+          kept = true;
           out.changed = true;
-          out.passes[i].cost_after -= entry_cost - current_cost;
+          total.cost_after -= entry_cost - current_cost;
         } else {
           delta = PassStats{};
           delta.rejected = 1;
         }
       }
-      Accumulate(out.passes[i], delta);
+    }
+    Accumulate(total, delta);
+    return kept;
+  };
+  for (int iter = 0; iter < kMaxFixpointIterations; ++iter) {
+    ++out.fixpoint_iterations;
+    bool iteration_changed = false;
+    for (size_t i = 0; i < passes_.size(); ++i) {
+      iteration_changed |= run_pass(*passes_[i], out.passes[i], iter == 0);
     }
     if (!iteration_changed) break;
   }
+  run_pass(*final_pass_, out.passes.back(), /*first_run=*/true);
 
   out.cost_after = current_cost;
   out.commands_after = static_cast<int>(current.commands.size());

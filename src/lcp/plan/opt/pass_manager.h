@@ -16,8 +16,8 @@ namespace plan_opt {
 
 /// Aggregate result of one Optimize() call.
 struct OptimizeStats {
-  /// One entry per pass, in pipeline order, counters summed across fixpoint
-  /// iterations.
+  /// One entry per pass, in pipeline order (the fixpoint passes, then
+  /// binding-join elimination), counters summed across fixpoint iterations.
   std::vector<PassStats> passes;
   int fixpoint_iterations = 0;
   bool changed = false;
@@ -34,8 +34,9 @@ struct OptimizeStats {
 
 /// Runs the pass pipeline — CSE, pushdown, DCE, join reorder — over a plan
 /// until fixpoint, for at most four iterations (each runs every pass once;
-/// the loop exits early when an iteration changes nothing). Every pass
-/// output is re-checked with ValidatePlan and re-costed under `cost`; an
+/// the loop exits early when an iteration changes nothing), then
+/// binding-join elimination once. Every pass output is re-checked with
+/// ValidatePlan and re-costed under `cost`; an
 /// output that fails validation or costs more than its input is discarded
 /// (counted in PassStats::rejected), so Optimize never returns a plan that
 /// is invalid or costlier than its input. Errors only on an input plan that
@@ -50,7 +51,10 @@ class PassManager {
                         OptimizeStats* stats = nullptr) const;
 
  private:
+  /// Run to fixpoint, in order.
   std::vector<std::unique_ptr<const PlanPass>> passes_;
+  /// Run once, after the fixpoint loop.
+  std::unique_ptr<const PlanPass> final_pass_;
 };
 
 }  // namespace plan_opt

@@ -210,18 +210,18 @@ ColumnBatch ColumnBatch::Deduplicated(size_t* dropped) const {
 }
 
 Table ColumnBatch::ToTable(const TermPool& pool) const {
-  Table table(attrs_);
   const size_t n = num_rows();
-  table.Reserve(n);
+  std::vector<Tuple> rows;
+  rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     Tuple row;
     row.reserve(attrs_.size());
     for (size_t c = 0; c < attrs_.size(); ++c) {
       row.push_back(pool.Decode(At(c, i)));
     }
-    table.Insert(std::move(row));
+    rows.push_back(std::move(row));
   }
-  return table;
+  return Table::FromDistinctRows(attrs_, std::move(rows));
 }
 
 }  // namespace lcp

@@ -152,7 +152,10 @@ class ColumnBatch {
   ColumnBatch Deduplicated(size_t* dropped = nullptr) const;
 
   /// Decodes into an attribute-named row Table (the conversion boundary to
-  /// the planner/service world). Live rows only, in live order.
+  /// the planner/service world). Live rows only, in live order. The batch
+  /// must hold no duplicate rows, as every batch the vectorized engine
+  /// stores or returns does (DESIGN.md §9): rows go in without a dedup
+  /// probe.
   Table ToTable(const TermPool& pool) const;
 
  private:

@@ -14,6 +14,16 @@ void Table::BuildAttrIndex() {
   }
 }
 
+Table Table::FromDistinctRows(std::vector<std::string> attrs,
+                              std::vector<Tuple> rows) {
+  Table table(std::move(attrs));
+  for (const Tuple& row : rows) {
+    LCP_CHECK_EQ(row.size(), table.attrs_.size()) << "row width mismatch";
+  }
+  table.rows_ = std::move(rows);
+  return table;
+}
+
 void Table::Reserve(size_t n) {
   rows_.reserve(n);
   dedup_.reserve(n);
@@ -21,6 +31,13 @@ void Table::Reserve(size_t n) {
 
 bool Table::Insert(Tuple row) {
   LCP_CHECK_EQ(row.size(), attrs_.size()) << "row width mismatch";
+  if (indexed_ < rows_.size()) {
+    dedup_.reserve(rows_.size() + 1);
+    for (; indexed_ < rows_.size(); ++indexed_) {
+      dedup_.emplace(TupleHash()(rows_[indexed_]),
+                     static_cast<uint32_t>(indexed_));
+    }
+  }
   const size_t h = TupleHash()(row);
   auto [begin, end] = dedup_.equal_range(h);
   for (auto it = begin; it != end; ++it) {
@@ -28,6 +45,7 @@ bool Table::Insert(Tuple row) {
   }
   dedup_.emplace(h, static_cast<uint32_t>(rows_.size()));
   rows_.push_back(std::move(row));
+  ++indexed_;
   return true;
 }
 
@@ -37,7 +55,7 @@ bool Table::ContainsRow(const Tuple& row) const {
   for (auto it = begin; it != end; ++it) {
     if (rows_[it->second] == row) return true;
   }
-  return false;
+  return std::find(rows_.begin() + indexed_, rows_.end(), row) != rows_.end();
 }
 
 std::string Table::ToString() const {

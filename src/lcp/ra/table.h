@@ -32,6 +32,13 @@ class Table {
     return it == attr_index_.end() ? -1 : it->second;
   }
 
+  /// A table over `rows`, which the caller guarantees are pairwise
+  /// distinct (every batch the vectorized engine holds is): they are stored
+  /// without a dedup probe, and the dedup index is built by the first
+  /// Insert.
+  static Table FromDistinctRows(std::vector<std::string> attrs,
+                                std::vector<Tuple> rows);
+
   /// Pre-sizes row storage and the dedup index for `n` expected rows.
   void Reserve(size_t n);
 
@@ -41,6 +48,8 @@ class Table {
   /// already stored in `rows_`.
   bool Insert(Tuple row);
 
+  /// Probes the dedup index; rows not indexed yet (FromDistinctRows) are
+  /// compared one by one, so a const table is never modified.
   bool ContainsRow(const Tuple& row) const;
 
   /// Renders an aligned ASCII table (for examples and debugging).
@@ -57,6 +66,8 @@ class Table {
   /// Dedup index: tuple hash → indexes into rows_ (chained to survive hash
   /// collisions). Holds no tuple data of its own.
   std::unordered_multimap<size_t, uint32_t> dedup_;
+  /// rows_[0, indexed_) are in dedup_; the rest came from FromDistinctRows.
+  size_t indexed_ = 0;
 };
 
 }  // namespace lcp

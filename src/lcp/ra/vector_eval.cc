@@ -28,9 +28,10 @@ void BuildRowIndex(const ColumnBatch& batch, const std::vector<int>& cols,
   }
 }
 
+/// `dedup` false keeps the duplicate rows a narrowing projection makes.
 Result<ColumnBatch> EvalProject(const ColumnBatch& input,
                                 const std::vector<std::string>& attrs,
-                                ExecStats* stats) {
+                                bool dedup, ExecStats* stats) {
   std::vector<int> indexes;
   indexes.reserve(attrs.size());
   for (const std::string& attr : attrs) {
@@ -45,7 +46,7 @@ Result<ColumnBatch> EvalProject(const ColumnBatch& input,
   // A projection that keeps every distinct column of the input cannot
   // introduce duplicates; anything narrower needs a dedup pass.
   std::unordered_set<int> kept(indexes.begin(), indexes.end());
-  if (kept.size() < input.num_attrs()) {
+  if (dedup && kept.size() < input.num_attrs()) {
     size_t dropped = 0;
     out = out.Deduplicated(&dropped);
     if (stats != nullptr) stats->dedup_drops += dropped;
@@ -320,7 +321,7 @@ Result<ColumnBatch> EvaluateRaVectorized(const RaExpr& expr,
     }
     case RaExpr::Op::kProject: {
       LCP_ASSIGN_OR_RETURN(ColumnBatch child, eval_child(0));
-      return EvalProject(child, expr.attrs(), stats);
+      return EvalProject(child, expr.attrs(), /*dedup=*/true, stats);
     }
     case RaExpr::Op::kSelect: {
       LCP_ASSIGN_OR_RETURN(ColumnBatch child, eval_child(0));
@@ -347,6 +348,19 @@ Result<ColumnBatch> EvaluateRaVectorized(const RaExpr& expr,
     }
   }
   return InternalError("unreachable RA op");
+}
+
+Result<ColumnBatch> EvaluateAccessInputVectorized(const RaExpr& expr,
+                                                  const BatchEnv& env,
+                                                  TermPool& pool,
+                                                  ExecStats* stats) {
+  if (expr.op() != RaExpr::Op::kProject) {
+    return EvaluateRaVectorized(expr, env, pool, stats);
+  }
+  LCP_ASSIGN_OR_RETURN(
+      ColumnBatch child,
+      EvaluateRaVectorized(*expr.children()[0], env, pool, stats));
+  return EvalProject(child, expr.attrs(), /*dedup=*/false, stats);
 }
 
 }  // namespace lcp

@@ -44,6 +44,15 @@ Result<ColumnBatch> EvaluateRaVectorized(const RaExpr& expr,
                                          const BatchEnv& env, TermPool& pool,
                                          ExecStats* stats = nullptr);
 
+/// EvaluateRaVectorized for an access command's input expression, except
+/// that a root Project keeps the duplicate rows it makes: the executor
+/// dedups the bindings it reads off the batch, in first-appearance order,
+/// so the binding sequence is the one the deduplicated input gives.
+Result<ColumnBatch> EvaluateAccessInputVectorized(const RaExpr& expr,
+                                                  const BatchEnv& env,
+                                                  TermPool& pool,
+                                                  ExecStats* stats = nullptr);
+
 }  // namespace lcp
 
 #endif  // LCP_RA_VECTOR_EVAL_H_

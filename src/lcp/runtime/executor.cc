@@ -544,16 +544,28 @@ Result<CodeBindings> ComputeAccessBindings(const AccessCommand& access,
   return bindings;
 }
 
+/// True iff the access's output columns copy every position of its
+/// relation, so distinct answer tuples give distinct output rows.
+bool CopiesEveryPosition(const AccessCommand& access, size_t arity) {
+  std::vector<char> copied(arity, 0);
+  for (const auto& [attr, pos] : access.output_columns) {
+    if (pos >= 0 && static_cast<size_t>(pos) < arity) copied[pos] = 1;
+  }
+  return std::find(copied.begin(), copied.end(), 0) == copied.end();
+}
+
 /// Stores a fresh access answer batch into the environment with set
 /// semantics, appending to an existing table of the same name if the plan
 /// reuses it (mirrors the row engine's insert-into-existing-table), and
-/// charges the per-access exec stats.
+/// charges the per-access exec stats. A fresh table skips the dedup pass
+/// when the caller knows its rows are `distinct`.
 Status StoreAccessOutput(const AccessCommand& access, ColumnBatch fresh,
-                         BatchEnv& env, ExecStats& exec) {
+                         bool distinct, BatchEnv& env, ExecStats& exec) {
   auto it = env.find(access.output_table);
   size_t dropped = 0;
   if (it == env.end()) {
-    env.emplace(access.output_table, fresh.Deduplicated(&dropped));
+    env.emplace(access.output_table,
+                distinct ? std::move(fresh) : fresh.Deduplicated(&dropped));
   } else {
     // Existing rows first, new rows appended, first appearance wins.
     const ColumnBatch& existing = it->second;
@@ -586,6 +598,12 @@ Status StoreAccessOutput(const AccessCommand& access, ColumnBatch fresh,
 /// through TryAccessCodes, every answer row filtered and projected onto the
 /// access command's output columns as codes, without decoding. Answers that
 /// arrive as Tuples (the adapter's, and retried ones) are interned.
+///
+/// Rows kept only from code-native entries are pairwise distinct when the
+/// output columns copy every position: an entry's rows are distinct
+/// instance tuples, distinct bindings select disjoint tuples (each carries
+/// its binding), position filters keep subsets, and copying every position
+/// is injective (AccessSource's contract, DESIGN.md §9).
 class CodeBatch {
  public:
   CodeBatch(const AccessCommand& access, const CodeBindings& bindings,
@@ -635,6 +653,7 @@ class CodeBatch {
     }
   }
   void ConsumeRows(const std::vector<Tuple>& rows) {
+    code_native_ = false;
     for (const Tuple& tuple : rows) {
       if (!PassesPositionFilters(access_, tuple)) continue;
       for (size_t k = 0; k < columns_.size(); ++k) {
@@ -644,6 +663,9 @@ class CodeBatch {
       ++num_rows_;
     }
   }
+
+  /// True while every row kept came from a code-native entry.
+  bool code_native() const { return code_native_; }
 
   /// The kept answers as a dense batch named by the output columns.
   ColumnBatch TakeOutput() {
@@ -676,6 +698,7 @@ class CodeBatch {
   CodeBatchOutcome answers_;
   std::vector<std::vector<TermCode>> columns_;
   size_t num_rows_ = 0;
+  bool code_native_ = true;
 };
 
 /// Runs one access command against the batch environment: evaluates the
@@ -689,8 +712,8 @@ Status RunAccessVectorized(const AccessCommand& access, const Schema& schema,
 
   ColumnBatch input_batch;
   if (access.input != nullptr) {
-    LCP_ASSIGN_OR_RETURN(
-        input_batch, EvaluateRaVectorized(*access.input, env, pool, &exec));
+    LCP_ASSIGN_OR_RETURN(input_batch, EvaluateAccessInputVectorized(
+                                          *access.input, env, pool, &exec));
   }
   LCP_ASSIGN_OR_RETURN(
       AccessInputSpec spec,
@@ -701,11 +724,13 @@ Status RunAccessVectorized(const AccessCommand& access, const Schema& schema,
       CodeBindings bindings,
       ComputeAccessBindings(access, spec, method, input_batch, pool));
 
-  CodeBatch batch(access, bindings,
-                  static_cast<size_t>(schema.relation(method.relation).arity),
-                  pool);
+  const size_t arity =
+      static_cast<size_t>(schema.relation(method.relation).arity);
+  CodeBatch batch(access, bindings, arity, pool);
   LCP_RETURN_IF_ERROR(DispatchBindings(source, access.method, batch, rs));
-  return StoreAccessOutput(access, batch.TakeOutput(), env, exec);
+  const bool distinct =
+      batch.code_native() && CopiesEveryPosition(access, arity);
+  return StoreAccessOutput(access, batch.TakeOutput(), distinct, env, exec);
 }
 
 Result<ExecutionResult> ExecutePlanVectorized(const Plan& plan,

@@ -114,6 +114,19 @@ struct CodeBatchOutcome {
 /// budgets"): an access either yields an AccessOutcome or a Status —
 /// kUnavailable for transient faults and outages (retryable), anything else
 /// for permanent errors (not retryable).
+///
+/// The answer contract (DESIGN.md §9), which execution and the optimizer
+/// rely on:
+///   - every tuple returned for a binding carries that binding at the
+///     method's input positions, so distinct bindings get disjoint answers
+///     (the optimizer drops the join of an access's answers back onto its
+///     binding table on this ground);
+///   - the rows of one code-native entry (a TryAccessCodes entry with
+///     `rows`, not `tuples`) are distinct, so the engine stores such
+///     answers without a dedup pass. Tuple answers may repeat a tuple;
+///     the engine dedups them.
+/// A truncated or degraded answer may drop tuples but not break either
+/// rule.
 class AccessSource {
  public:
   virtual ~AccessSource() = default;

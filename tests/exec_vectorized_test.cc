@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec_scenario.h"
@@ -42,6 +45,58 @@ class PassThroughSource : public AccessSource {
  private:
   SimulatedSource* inner_;
 };
+
+/// PassThroughSource that answers one binding of one method with its first
+/// tuple twice — legal for Tuple answers, which the engine dedups.
+class RepeatingSource : public PassThroughSource {
+ public:
+  RepeatingSource(SimulatedSource* inner, AccessMethodId method, Tuple binding)
+      : PassThroughSource(inner),
+        method_(method),
+        binding_(std::move(binding)) {}
+  Result<AccessOutcome> TryAccess(AccessMethodId method,
+                                  const Tuple& inputs) override {
+    Result<AccessOutcome> outcome = PassThroughSource::TryAccess(method, inputs);
+    if (!outcome.ok() || method != method_ || inputs != binding_ ||
+        outcome->tuples->empty()) {
+      return outcome;
+    }
+    repeated_ = *outcome->tuples;
+    repeated_.push_back(repeated_.front());
+    ++repeats_;
+    return AccessOutcome{&repeated_, outcome->truncated};
+  }
+  void TryAccessBatch(AccessMethodId method, const std::vector<Tuple>& bindings,
+                      std::vector<BatchEntryOutcome>& outcomes) override {
+    AccessSource::TryAccessBatch(method, bindings, outcomes);
+  }
+  int repeats() const { return repeats_; }
+
+ private:
+  AccessMethodId method_;
+  Tuple binding_;
+  std::vector<Tuple> repeated_;
+  int repeats_ = 0;
+};
+
+/// R(a, b) free, S(b, c) keyed on b, eight facts each: b = i % 4.
+Schema TwoRelationSchema() {
+  Schema schema;
+  RelationId r = schema.AddRelation("R", 2).value();
+  RelationId s = schema.AddRelation("S", 2).value();
+  schema.AddAccessMethod("mt_r_free", r, {}, 2.0).value();
+  schema.AddAccessMethod("mt_s_by0", s, {0}, 5.0).value();
+  return schema;
+}
+
+Instance TwoRelationInstance(const Schema& schema) {
+  Instance instance(&schema);
+  for (int i = 0; i < 8; ++i) {
+    instance.AddFact(0, Tuple{Value::Int(i), Value::Int(i % 4)});
+    instance.AddFact(1, Tuple{Value::Int(i % 4), Value::Int(i * 10)});
+  }
+  return instance;
+}
 
 /// The counters ExpectIdentical leaves out: every RetryStats field, and the
 /// ExecStats both engines fill (the access path) or, with `operators`, all
@@ -124,6 +179,108 @@ TEST(ExecVectorizedDifferentialTest, FaultFreeRunsAreBitIdentical) {
     ExpectSameAccounting(row_source, vec_source, seed);
     ExpectSameAccounting(row_source, adapter_source, seed);
   }
+}
+
+TEST(SourceContractTest, AnswersCarryTheirBindingWithoutRepeats) {
+  // AccessSource's contract, which the engine's skipped answer dedup and the
+  // optimizer's binding-join elimination rely on: every returned tuple
+  // carries its binding at the method's input positions, and no entry
+  // repeats a row — on SimulatedSource's Tuple and code entry points and
+  // through FaultInjectingSource's truncation.
+  const int iters = StressIters(40);
+  size_t truncations = 0;
+  for (int seed = 0; seed < iters; ++seed) {
+    ScenarioBuilder builder(static_cast<uint64_t>(seed) * 389 + 29);
+    Schema schema;
+    builder.BuildSchema(schema);
+    Instance instance = builder.BuildInstance(schema);
+    std::mt19937_64 prng(static_cast<uint64_t>(seed));
+    SimulatedSource source(&schema, &instance);
+    SimulatedSource base(&schema, &instance);
+    FaultProfile profile;
+    profile.defaults.truncation_rate = 0.5;
+    FaultInjectingSource faulty(&base, profile, static_cast<uint64_t>(seed));
+
+    for (AccessMethodId m = 0; m < schema.num_access_methods(); ++m) {
+      const AccessMethod& method = schema.access_method(m);
+      const std::vector<Tuple>& facts =
+          instance.relation(method.relation).tuples();
+      // Bindings read off the instance, a value it lacks now and then.
+      std::vector<Tuple> bindings;
+      for (int b = 0; b < 6; ++b) {
+        const Tuple* fact =
+            facts.empty() ? nullptr : &facts[prng() % facts.size()];
+        Tuple binding;
+        for (int pos : method.input_positions) {
+          binding.push_back(fact == nullptr || prng() % 5 == 0
+                                ? Value::Int(-1)
+                                : (*fact)[pos]);
+        }
+        bindings.push_back(std::move(binding));
+      }
+      auto check = [&](const std::vector<Tuple>& rows, const Tuple& binding,
+                       const char* path) {
+        std::vector<Tuple> seen;
+        for (const Tuple& row : rows) {
+          for (size_t s = 0; s < binding.size(); ++s) {
+            EXPECT_EQ(row[method.input_positions[s]], binding[s])
+                << path << ", seed " << seed << ", method " << method.name;
+          }
+          EXPECT_EQ(std::count(seen.begin(), seen.end(), row), 0)
+              << path << ", seed " << seed << ", method " << method.name;
+          seen.push_back(row);
+        }
+      };
+
+      std::vector<BatchEntryOutcome> batch;
+      source.TryAccessBatch(m, bindings, batch);
+      ASSERT_EQ(batch.size(), bindings.size());
+      for (size_t i = 0; i < bindings.size(); ++i) {
+        check(source.Access(m, bindings[i]), bindings[i], "Access");
+        check(batch[i].Rows(), bindings[i], "TryAccessBatch");
+      }
+
+      TermPool pool(source.dictionary());
+      CodeBindings codes;
+      codes.width = method.input_positions.size();
+      codes.count = bindings.size();
+      for (const Tuple& binding : bindings) {
+        for (const Value& v : binding) codes.codes.push_back(pool.Intern(v));
+      }
+      CodeBatchOutcome answers;
+      source.TryAccessCodes(m, codes, pool, answers);
+      ASSERT_EQ(answers.entries.size(), bindings.size());
+      const size_t arity =
+          static_cast<size_t>(schema.relation(method.relation).arity);
+      for (size_t i = 0; i < bindings.size(); ++i) {
+        const CodeEntryOutcome& entry = answers.entries[i];
+        ASSERT_TRUE(entry.status.ok());
+        ASSERT_EQ(entry.tuples, nullptr) << "a code-native entry";
+        std::vector<Tuple> rows;
+        for (size_t r = 0; r < entry.num_rows; ++r) {
+          Tuple row;
+          for (size_t p = 0; p < arity; ++p) {
+            row.push_back(pool.Decode(entry.rows[r * arity + p]));
+          }
+          rows.push_back(std::move(row));
+        }
+        check(rows, bindings[i], "TryAccessCodes");
+      }
+
+      std::vector<BatchEntryOutcome> truncated;
+      faulty.TryAccessBatch(m, bindings, truncated);
+      ASSERT_EQ(truncated.size(), bindings.size());
+      for (size_t i = 0; i < bindings.size(); ++i) {
+        ASSERT_TRUE(truncated[i].status.ok());
+        check(truncated[i].Rows(), bindings[i], "faulty TryAccessBatch");
+        Result<AccessOutcome> single = faulty.TryAccess(m, bindings[i]);
+        ASSERT_TRUE(single.ok());
+        check(*single->tuples, bindings[i], "faulty TryAccess");
+      }
+    }
+    truncations += faulty.stats().truncations;
+  }
+  EXPECT_GT(truncations, 0u);
 }
 
 TEST(ExecVectorizedDifferentialTest, AbsentConstantMatchesNothing) {
@@ -328,6 +485,76 @@ TEST(ExecVectorizedDifferentialTest, BreakerScenariosStayIdentical) {
               vec->retry.breaker_short_circuits)
         << "seed " << seed;
   }
+}
+
+TEST(ExecVectorizedTest, RepeatedTupleAnswersAreDeduplicated) {
+  // A Tuple source may answer a binding with the same tuple twice; rows
+  // that come through the adapter keep their dedup.
+  Schema schema = TwoRelationSchema();
+  Instance instance = TwoRelationInstance(schema);
+  Plan plan;
+  AccessCommand scan;
+  scan.method = 0;
+  scan.output_table = "t0";
+  scan.output_columns = {{"a", 0}, {"b", 1}};
+  plan.commands.push_back(scan);
+  AccessCommand probe;
+  probe.method = 1;
+  probe.input = RaExpr::Project(RaExpr::TempScan("t0"), {"b"});
+  probe.input_binding = {{"b", 0}};
+  probe.output_table = "t1";
+  probe.output_columns = {{"b", 0}, {"c", 1}};
+  plan.commands.push_back(probe);
+  plan.output_table = "t1";
+  plan.output_attrs = {"b", "c"};
+
+  SimulatedSource row_source(&schema, &instance);
+  ExecutionOptions row_opts;
+  row_opts.engine = ExecutionEngine::kRowOracle;
+  auto row = ExecutePlan(plan, row_source, row_opts);
+  SimulatedSource inner(&schema, &instance);
+  RepeatingSource repeating(&inner, 1, Tuple{Value::Int(2)});
+  ExecutionOptions vec_opts;
+  auto vec = ExecutePlan(plan, repeating, vec_opts);
+  ASSERT_TRUE(row.ok()) << row.status();
+  ASSERT_TRUE(vec.ok()) << vec.status();
+  EXPECT_EQ(repeating.repeats(), 1);
+  ExpectIdentical(*row, *vec, 0);
+  EXPECT_EQ(vec->output.size(), 8u);
+  EXPECT_EQ(vec->exec.dedup_drops, 1u);
+}
+
+TEST(ExecVectorizedTest, ReusedAccessOutputTableStaysDeduplicated) {
+  // Two accesses write one table (no validated plan does; ExecutePlan
+  // runs it): the second one's answers are appended, and the rows both
+  // return are kept once.
+  Schema schema = TwoRelationSchema();
+  Instance instance = TwoRelationInstance(schema);
+  Plan plan;
+  AccessCommand all;
+  all.method = 0;
+  all.output_table = "t0";
+  all.output_columns = {{"a", 0}, {"b", 1}};
+  plan.commands.push_back(all);
+  AccessCommand some = all;  // a subset of the same rows
+  some.position_constants = {{1, Value::Int(1)}};
+  plan.commands.push_back(some);
+  plan.output_table = "t0";
+  plan.output_attrs = {"a", "b"};
+
+  SimulatedSource row_source(&schema, &instance);
+  ExecutionOptions row_opts;
+  row_opts.engine = ExecutionEngine::kRowOracle;
+  auto row = ExecutePlan(plan, row_source, row_opts);
+  SimulatedSource vec_source(&schema, &instance);
+  TableEnv vec_env;
+  auto vec = ExecutePlan(plan, vec_source, ExecutionOptions{}, &vec_env);
+  ASSERT_TRUE(row.ok()) << row.status();
+  ASSERT_TRUE(vec.ok()) << vec.status();
+  ExpectIdentical(*row, *vec, 0);
+  EXPECT_EQ(vec->output.size(), 8u);
+  EXPECT_EQ(vec_env.at("t0").size(), 8u);
+  EXPECT_EQ(vec->exec.dedup_drops, 2u);  // a = 1 and a = 5
 }
 
 TEST(ExecVectorizedTest, ExecStatsAreReported) {

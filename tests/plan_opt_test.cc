@@ -18,6 +18,7 @@
 #include "lcp/accessible/accessible_schema.h"
 #include "lcp/data/generator.h"
 #include "lcp/plan/cardinality_cost.h"
+#include "lcp/plan/opt/binding_join.h"
 #include "lcp/plan/opt/cse.h"
 #include "lcp/plan/opt/dce.h"
 #include "lcp/plan/opt/join_reorder.h"
@@ -26,12 +27,14 @@
 #include "lcp/plan/validate.h"
 #include "lcp/planner/proof_search.h"
 #include "lcp/runtime/executor.h"
+#include "lcp/schema/parser.h"
 #include "lcp/service/service.h"
 #include "lcp/workload/scenarios.h"
 
 namespace lcp {
 namespace {
 
+using plan_opt::BindingJoinPass;
 using plan_opt::CsePass;
 using plan_opt::DcePass;
 using plan_opt::JoinReorderPass;
@@ -190,6 +193,23 @@ TEST(DcePassTest, RemovesUnreferencedCommands) {
   EXPECT_FALSE(DcePass().Run(plan, schema, again));
 }
 
+TEST(DcePassTest, RunThatRemovesNothingLeavesThePlanIntact) {
+  // A pass that returns false must not have changed the plan: the
+  // PassManager skips the copy for a pass whose MayChange says so.
+  Schema schema = MakeSchema();
+  Plan plan;
+  plan.commands.push_back(FreeAccess(0, "t0"));
+  plan.commands.push_back(QueryCommand{
+      "t1", RaExpr::Project(RaExpr::TempScan("t0"), {"a"})});
+  plan.output_table = "t1";
+  plan.output_attrs = {"a"};
+  const Plan original = plan;
+  PassStats stats;
+  EXPECT_FALSE(DcePass().Run(plan, schema, stats));
+  EXPECT_TRUE(plan == original);
+  EXPECT_TRUE(ValidatePlan(plan, schema).ok());
+}
+
 TEST(PushdownPassTest, FoldsSelectionIntoAccess) {
   Schema schema = MakeSchema();
   Instance instance = SmallInstance(schema);
@@ -325,6 +345,192 @@ TEST(JoinReorderPassTest, MovesSharedAttributesTogether) {
 }
 
 // ---------------------------------------------------------------------------
+// Binding-join elimination.
+
+/// t0 <- R (a, b); t1 <- S by b from project[b](t0), out (b, c);
+/// t2 := t0 ⋈ t1, read as t2[b, c]. Every t1 row carries the b of the t0
+/// rows its binding came from, so t2 is t1 on the attributes read.
+Plan BindingJoinPlan() {
+  Plan plan;
+  plan.commands.push_back(FreeAccess(0, "t0"));
+  AccessCommand keyed;
+  keyed.method = 1;
+  keyed.input = RaExpr::Project(RaExpr::TempScan("t0"), {"b"});
+  keyed.input_binding = {{"b", 0}};
+  keyed.output_table = "t1";
+  keyed.output_columns = {{"b", 0}, {"c", 1}};
+  plan.commands.push_back(keyed);
+  plan.commands.push_back(QueryCommand{
+      "t2", RaExpr::Join(RaExpr::TempScan("t0"), RaExpr::TempScan("t1"))});
+  plan.output_table = "t2";
+  plan.output_attrs = {"b", "c"};
+  return plan;
+}
+
+TEST(BindingJoinPassTest, ReplacesTheJoinByTheAnswers) {
+  Schema schema = MakeSchema();
+  Instance instance = SmallInstance(schema);
+  for (const bool answers_first : {false, true}) {
+    Plan plan = BindingJoinPlan();
+    if (answers_first) {
+      std::get<QueryCommand>(plan.commands[2]).expr =
+          RaExpr::Join(RaExpr::TempScan("t1"), RaExpr::TempScan("t0"));
+    }
+    const Plan original = plan;
+    PassStats stats;
+    EXPECT_TRUE(BindingJoinPass().Run(plan, schema, stats));
+    EXPECT_EQ(stats.joins_removed, 1);
+    const RaExpr& expr = *std::get<QueryCommand>(plan.commands[2]).expr;
+    ASSERT_EQ(expr.op(), RaExpr::Op::kTempScan);
+    EXPECT_EQ(expr.table(), "t1");
+    EXPECT_TRUE(ValidatePlan(plan, schema).ok());
+    ExpectSameResults(original, plan, schema, instance, answers_first);
+
+    // Idempotent: the scan is no join.
+    PassStats again;
+    EXPECT_FALSE(BindingJoinPass().Run(plan, schema, again));
+  }
+}
+
+TEST(BindingJoinPassTest, KeepsJoinsWhoseResultItCannotProve) {
+  Schema schema = MakeSchema();
+  struct Variant {
+    const char* name;
+    void (*edit)(Plan&);
+  };
+  const Variant variants[] = {
+      {"shared attribute the access does not bind",
+       [](Plan& plan) {
+         std::get<AccessCommand>(plan.commands[1]).output_columns = {
+             {"b", 0}, {"a", 1}};
+         plan.output_attrs = {"a", "b"};
+       }},
+      {"bindings read from another table",
+       [](Plan& plan) {
+         plan.commands.insert(plan.commands.begin(), FreeAccess(0, "u0"));
+         std::get<AccessCommand>(plan.commands[2]).input =
+             RaExpr::Project(RaExpr::TempScan("u0"), {"b"});
+       }},
+      {"a reader of an attribute only the left side has",
+       [](Plan& plan) {
+         plan.commands.push_back(
+             QueryCommand{"t3", RaExpr::Project(RaExpr::TempScan("t2"),
+                                                {"a", "c"})});
+         plan.output_table = "t3";
+         plan.output_attrs = {"c"};
+       }},
+      {"a join keyed on an attribute only the left side has",
+       [](Plan& plan) {
+         AccessCommand other = FreeAccess(0, "t3");
+         other.output_columns = {{"a", 0}, {"d", 1}};
+         plan.commands.push_back(other);
+         plan.commands.push_back(QueryCommand{
+             "t4",
+             RaExpr::Join(RaExpr::TempScan("t2"), RaExpr::TempScan("t3"))});
+         plan.output_table = "t4";
+         plan.output_attrs = {"c", "d"};
+       }},
+      {"a union reader",
+       [](Plan& plan) {
+         plan.commands.push_back(QueryCommand{
+             "t3",
+             RaExpr::Union(RaExpr::TempScan("t2"), RaExpr::TempScan("t2"))});
+         plan.output_table = "t3";
+       }},
+      {"a boolean output",
+       [](Plan& plan) { plan.output_attrs.clear(); }},
+  };
+  for (const Variant& variant : variants) {
+    Plan plan = BindingJoinPlan();
+    variant.edit(plan);
+    ASSERT_TRUE(ValidatePlan(plan, schema).ok()) << variant.name;
+    const Plan original = plan;
+    PassStats stats;
+    EXPECT_FALSE(BindingJoinPass().Run(plan, schema, stats)) << variant.name;
+    EXPECT_EQ(stats.joins_removed, 0) << variant.name;
+    EXPECT_TRUE(plan == original) << variant.name;
+  }
+}
+
+/// The plan the optimizing search returns for `query` over `scenario`.
+SearchOutcome OptimizedSearch(const Scenario& scenario,
+                              const ConjunctiveQuery& query,
+                              const AccessibleSchema& accessible,
+                              const CostFunction& cost) {
+  ProofSearch search(&accessible, &cost);
+  SearchOptions options;
+  options.optimize_plans = true;
+  Result<SearchOutcome> outcome = search.Run(query, options);
+  EXPECT_TRUE(outcome.ok() && outcome->best.has_value()) << scenario.name;
+  return std::move(outcome).value();
+}
+
+const PassStats& BindingJoinStats(const OptimizeStats& stats) {
+  return stats.passes.back();
+}
+
+TEST(BindingJoinPassTest, ChainPlanJoinsBecomeScans) {
+  auto scenario = MakeChainScenario(4).value();
+  auto accessible =
+      AccessibleSchema::Build(*scenario.schema, AccessibleVariant::kStandard)
+          .value();
+  SimpleCostFunction cost(scenario.schema.get());
+  ProofSearch search(&accessible, &cost);
+  auto literal = search.Run(scenario.query, SearchOptions{});
+  ASSERT_TRUE(literal.ok() && literal->best.has_value());
+  SearchOutcome optimized =
+      OptimizedSearch(scenario, scenario.query, accessible, cost);
+  ASSERT_TRUE(optimized.best.has_value());
+
+  const Plan& plan = optimized.best->plan;
+  EXPECT_EQ(BindingJoinStats(optimized.optimize).pass, "binding_join");
+  EXPECT_EQ(BindingJoinStats(optimized.optimize).joins_removed, 4);
+  EXPECT_DOUBLE_EQ(literal->best->cost, 5.0);
+  EXPECT_DOUBLE_EQ(optimized.best->cost, 5.0);
+  EXPECT_EQ(plan.NumAccessCommands(), 5);
+  int joins = 0;
+  for (const Command& cmd : plan.commands) {
+    const auto* query = std::get_if<QueryCommand>(&cmd);
+    if (query != nullptr && query->expr->Uses(RaExpr::Op::kJoin)) ++joins;
+  }
+  EXPECT_EQ(joins, 0) << plan.ToString(*scenario.schema);
+
+  GeneratorOptions gen;
+  gen.facts_per_relation = 64;
+  gen.domain_size = 64;
+  gen.seed = 11;
+  auto instance = GenerateInstance(*scenario.schema, gen);
+  ASSERT_TRUE(instance.ok());
+  ExpectSameResults(literal->best->plan, plan, *scenario.schema, *instance,
+                    /*seed=*/4);
+}
+
+TEST(BindingJoinPassTest, UnboundSharedAttributeKeepsTheJoin) {
+  // warm_hits' fourth shape: t1 ⋈ t2_f0 shares l_2, which Profinfo's
+  // access does not bind, so the join still filters and must stay.
+  auto scenario = MakeProfinfoScenario(/*boolean_query=*/false).value();
+  auto accessible =
+      AccessibleSchema::Build(*scenario.schema, AccessibleVariant::kStandard)
+          .value();
+  SimpleCostFunction cost(scenario.schema.get());
+  auto query = ParseQuery(*scenario.schema,
+                          "Q(o) :- Udirect(e, \"smith\"), Profinfo(e, o, l)");
+  ASSERT_TRUE(query.ok()) << query.status();
+  SearchOutcome optimized = OptimizedSearch(scenario, *query, accessible, cost);
+  ASSERT_TRUE(optimized.best.has_value());
+  EXPECT_EQ(BindingJoinStats(optimized.optimize).joins_removed, 0);
+
+  Plan plan = optimized.best->plan;
+  const auto& last_join = std::get<QueryCommand>(plan.commands.end()[-2]);
+  ASSERT_EQ(last_join.expr->op(), RaExpr::Op::kJoin)
+      << plan.ToString(*scenario.schema);
+  const Plan before = plan;
+  PassStats stats;
+  EXPECT_FALSE(BindingJoinPass().Run(plan, *scenario.schema, stats));
+  EXPECT_TRUE(plan == before);
+}
+
+// ---------------------------------------------------------------------------
 // PassManager contracts.
 
 TEST(PassManagerTest, PipelineCollapsesRedundantAccessesAndLowersCost) {
@@ -433,7 +639,7 @@ class RedundantPlanBuilder {
     }
     const int extra = 2 + static_cast<int>(Pick(4));
     for (int i = 0; i < extra; ++i) {
-      switch (Pick(4)) {
+      switch (Pick(5)) {
         case 0: {  // selection left above a scan (pushdown bait)
           const std::string& table = tables_[Pick(tables_.size())];
           const std::vector<std::string>& attrs = table_attrs_[table];
@@ -483,6 +689,9 @@ class RedundantPlanBuilder {
           plan.commands.push_back(std::move(query));
           break;
         }
+        case 3:
+          AddBindingJoin(plan);
+          break;
         default: {  // projection of a random table
           const std::string& table = tables_[Pick(tables_.size())];
           const std::vector<std::string>& attrs = table_attrs_[table];
@@ -506,7 +715,8 @@ class RedundantPlanBuilder {
     for (const std::string& a : attrs) {
       if (Coin(0.8)) picked.push_back(a);
     }
-    if (picked.empty()) picked.push_back(attrs[0]);
+    // A boolean output now and then (empty attribute list).
+    if (picked.empty() && Coin(0.5)) picked.push_back(attrs[0]);
     plan.output_table = out;
     plan.output_attrs = std::move(picked);
     return plan;
@@ -519,6 +729,141 @@ class RedundantPlanBuilder {
   }
 
   std::string NextTable() { return "t" + std::to_string(next_table_++); }
+
+  /// A keyed access whose answers are joined back onto the table its
+  /// bindings came from, the bound column named after its input attribute
+  /// (binding-join bait), in either operand order and through an optional
+  /// view. Some draws make the join one the optimizer must keep: a shared
+  /// attribute the access does not bind, bindings read from another table,
+  /// or a reader of the join's binding-table-only attributes (a projection,
+  /// a join on them, a union). BuildPlan adds boolean outputs.
+  void AddBindingJoin(Plan& plan) {
+    if (keyed_methods_.empty()) return;
+    const size_t k = Pick(keyed_methods_.size());
+    const int key = keyed_key_pos_[k];
+    const std::string left_table = tables_[Pick(tables_.size())];
+    const std::vector<std::string> left = table_attrs_[left_table];
+    const std::string bound = left[Pick(left.size())];
+
+    std::string input_table = left_table;
+    if (Coin(0.2)) {  // bindings from another table with the bound attribute
+      for (const std::string& other : tables_) {
+        const std::vector<std::string>& attrs = table_attrs_[other];
+        if (other != left_table &&
+            std::find(attrs.begin(), attrs.end(), bound) != attrs.end()) {
+          input_table = other;
+          break;
+        }
+      }
+    }
+    std::string unbound_shared;
+    if (Coin(0.2)) {  // a non-key position named after an unbound attribute
+      for (const std::string& attr : left) {
+        if (attr != bound) unbound_shared = attr;
+      }
+    }
+
+    AccessCommand access;
+    access.method = keyed_methods_[k];
+    access.input =
+        Coin(0.5) ? RaExpr::TempScan(input_table)
+                  : RaExpr::Project(RaExpr::TempScan(input_table), {bound});
+    access.input_binding = {{bound, key}};
+    access.output_table = NextTable();
+    for (int p = 0; p < keyed_arity_[k]; ++p) {
+      std::string name =
+          "k" + std::to_string(next_table_) + "_" + std::to_string(p);
+      if (p == key) {
+        name = bound;
+      } else if (!unbound_shared.empty()) {
+        name = unbound_shared;
+        unbound_shared.clear();
+      }
+      access.output_columns.emplace_back(std::move(name), p);
+    }
+    std::string answers = access.output_table;
+    NoteTable(answers, AttrsOf(access.output_columns));
+    plan.commands.push_back(std::move(access));
+    if (Coin(0.5)) {  // a view of the answers: reordered, maybe filtered
+      std::vector<std::string> attrs = table_attrs_[answers];
+      std::reverse(attrs.begin(), attrs.end());
+      RaExprPtr view = RaExpr::Project(RaExpr::TempScan(answers), attrs);
+      if (Coin(0.3)) {
+        view = RaExpr::Select(
+            std::move(view), {RaExpr::Condition::AttrEqConst(
+                                 attrs[Pick(attrs.size())],
+                                 Value::Int(static_cast<int64_t>(Pick(8))))});
+      }
+      QueryCommand query{NextTable(), std::move(view)};
+      NoteTable(query.output_table, std::move(attrs));
+      answers = query.output_table;
+      plan.commands.push_back(std::move(query));
+    }
+
+    const bool left_first = Coin(0.5);
+    const std::string& first = left_first ? left_table : answers;
+    const std::string& second = left_first ? answers : left_table;
+    std::vector<std::string> joined = table_attrs_[first];
+    AppendNew(joined, table_attrs_[second]);
+    const std::vector<std::string>& right = table_attrs_[answers];
+    std::vector<std::string> left_only;
+    for (const std::string& attr : left) {
+      if (std::find(right.begin(), right.end(), attr) == right.end()) {
+        left_only.push_back(attr);
+      }
+    }
+    QueryCommand join{NextTable(), RaExpr::Join(RaExpr::TempScan(first),
+                                                RaExpr::TempScan(second))};
+    const std::string table = join.output_table;
+    NoteTable(table, joined);
+    plan.commands.push_back(join);
+
+    switch (Pick(4)) {
+      case 0: {  // a projection reading a binding-table-only attribute
+        if (left_only.empty()) break;
+        const std::string attr = left_only[Pick(left_only.size())];
+        QueryCommand query{NextTable(),
+                           RaExpr::Project(RaExpr::TempScan(table), {attr})};
+        NoteTable(query.output_table, {attr});
+        plan.commands.push_back(std::move(query));
+        break;
+      }
+      case 1: {  // a join keyed on a binding-table-only attribute
+        if (left_only.empty()) break;
+        const std::string attr = left_only[Pick(left_only.size())];
+        std::string other;
+        for (const std::string& candidate : tables_) {
+          const std::vector<std::string>& attrs = table_attrs_[candidate];
+          if (candidate != table && candidate != left_table &&
+              std::find(attrs.begin(), attrs.end(), attr) != attrs.end()) {
+            other = candidate;
+            break;
+          }
+        }
+        if (other.empty()) break;
+        std::vector<std::string> out = joined;
+        AppendNew(out, table_attrs_[other]);
+        QueryCommand query{NextTable(), RaExpr::Join(RaExpr::TempScan(table),
+                                                     RaExpr::TempScan(other))};
+        NoteTable(query.output_table, std::move(out));
+        plan.commands.push_back(std::move(query));
+        break;
+      }
+      case 2: {  // a union with a second copy of the join
+        QueryCommand copy{NextTable(), join.expr};
+        NoteTable(copy.output_table, joined);
+        QueryCommand query{NextTable(),
+                           RaExpr::Union(RaExpr::TempScan(table),
+                                         RaExpr::TempScan(copy.output_table))};
+        NoteTable(query.output_table, joined);
+        plan.commands.push_back(std::move(copy));
+        plan.commands.push_back(std::move(query));
+        break;
+      }
+      default:
+        break;
+    }
+  }
 
   /// Attribute names are shared across relations ("c0", "c1", ...), so
   /// joins between different relations' outputs actually have join keys.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "lcp/ra/batch.h"
 #include "lcp/ra/expr.h"
 #include "lcp/ra/table.h"
 
@@ -25,6 +26,29 @@ TEST(TableTest, InsertDedupAndAttrIndex) {
   EXPECT_EQ(t.AttrIndex("b"), 1);
   EXPECT_EQ(t.AttrIndex("z"), -1);
   EXPECT_TRUE(t.ContainsRow({Value::Int(3), Value::Int(4)}));
+}
+
+TEST(TableTest, TableFromBatchKeepsSetSemantics) {
+  // ToTable stores the batch's rows without a dedup probe; the table still
+  // rejects a row it holds and finds it.
+  TermPool pool;
+  std::vector<TermCode> a;
+  std::vector<TermCode> b;
+  for (int64_t i = 0; i < 3; ++i) {
+    a.push_back(pool.Intern(Value::Int(i)));
+    b.push_back(pool.Intern(Value::Int(10 * i)));
+  }
+  Table t = ColumnBatch::FromDense({"a", "b"}, {a, b}, 3).ToTable(pool);
+  ASSERT_EQ(t.size(), 3u);
+  const Tuple held{Value::Int(1), Value::Int(10)};
+  EXPECT_TRUE(t.ContainsRow(held));
+  EXPECT_FALSE(t.ContainsRow({Value::Int(1), Value::Int(20)}));
+  EXPECT_FALSE(t.Insert(held));
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_TRUE(t.Insert({Value::Int(1), Value::Int(20)}));
+  EXPECT_FALSE(t.Insert({Value::Int(1), Value::Int(20)}));
+  EXPECT_TRUE(t.ContainsRow(held));
+  EXPECT_EQ(t.size(), 4u);
 }
 
 TEST(RaEvalTest, TempScanAndMissingTable) {
