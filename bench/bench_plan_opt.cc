@@ -1,11 +1,8 @@
 // The plan-IR optimizer (DESIGN.md §11) on its two target plan families:
 //
-//  - access-redundant: the same free access issued N times and unioned.
-//    CSE aliases the copies, DCE deletes them; plan cost drops from
-//    2N to 2 and execution stops re-fetching the same relation.
 //  - join-heavy: a four-leaf join chain written cartesian-product-first,
 //    with a selection left above one scan. Join reorder groups shared
-//    attributes, pushdown folds the selection into the access.
+//    attributes, the selection fold moves the selection into the access.
 //  - chain: the proof plan of the referential chain R0 -> ... -> R4
 //    (perfbench's exec_heavy shape): five dependent accesses, each
 //    followed by the join of its answers back onto its binding table.
@@ -15,8 +12,11 @@
 // BM_Optimize* measures the optimizer's own latency and records
 // cost-before/after for the full pipeline plus the per-pass cost deltas as
 // counters (the JSON rows run_benches.sh summarizes). BM_Exec* measures
-// end-to-end execution time of the unoptimized vs optimized plan on the
-// vectorized engine — the delta the optimizer actually buys at runtime.
+// execution time of the unoptimized vs optimized plan on the vectorized
+// engine — the delta the optimizer actually buys at runtime. The source is
+// built once per benchmark, as a serving worker's source lives across
+// requests, so an iteration does not include its dictionary and index
+// build.
 
 #include <benchmark/benchmark.h>
 
@@ -26,10 +26,8 @@
 #include <vector>
 
 #include "lcp/accessible/accessible_schema.h"
-#include "lcp/base/strings.h"
 #include "lcp/data/generator.h"
 #include "lcp/plan/opt/pass_manager.h"
-#include "lcp/plan/validate.h"
 #include "lcp/planner/proof_search.h"
 #include "lcp/runtime/executor.h"
 #include "lcp/runtime/source.h"
@@ -46,33 +44,6 @@ struct Family {
   std::unique_ptr<Instance> instance;
   Plan plan;
 };
-
-/// N identical free accesses to R, all unioned together. Everything past
-/// the first is redundant by construction.
-Family MakeAccessRedundant(int copies, int rows) {
-  Family family;
-  RelationId r = family.schema->AddRelation("R", 2).value();
-  family.schema->AddAccessMethod("free_r", r, {}, 2.0).value();
-  family.instance = std::make_unique<Instance>(family.schema.get());
-  for (int i = 0; i < rows; ++i) {
-    family.instance->AddFact(r, Tuple{Value::Int(i % 97), Value::Int(i)});
-  }
-  RaExprPtr unioned;
-  for (int i = 0; i < copies; ++i) {
-    AccessCommand access;
-    access.method = 0;
-    access.output_table = StrCat("t", i);
-    access.output_columns = {{"a", 0}, {"b", 1}};
-    family.plan.commands.push_back(std::move(access));
-    RaExprPtr scan = RaExpr::TempScan(StrCat("t", i));
-    unioned = unioned ? RaExpr::Union(std::move(unioned), std::move(scan))
-                      : std::move(scan);
-  }
-  family.plan.commands.push_back(QueryCommand{"all", std::move(unioned)});
-  family.plan.output_table = "all";
-  family.plan.output_attrs = {"a", "b"};
-  return family;
-}
 
 /// Four free accesses joined cartesian-product-first — A(a,b) ⋈ B(c,d)
 /// shares nothing; the profitable order goes through C(b,c) — plus a
@@ -153,8 +124,6 @@ void RecordOptimizeCounters(benchmark::State& state, const Family& family) {
   state.counters["cost_after"] = stats.cost_after;
   state.counters["commands_before"] = stats.commands_before;
   state.counters["commands_after"] = stats.commands_after;
-  state.counters["access_before"] = stats.access_commands_before;
-  state.counters["access_after"] = stats.access_commands_after;
   int joins_removed = 0;
   for (const plan_opt::PassStats& pass : stats.passes) {
     state.counters[pass.pass + "_cost_delta"] =
@@ -163,19 +132,6 @@ void RecordOptimizeCounters(benchmark::State& state, const Family& family) {
   }
   state.counters["joins_removed"] = joins_removed;
 }
-
-void BM_OptimizeAccessRedundant(benchmark::State& state) {
-  Family family =
-      MakeAccessRedundant(static_cast<int>(state.range(0)), /*rows=*/256);
-  SimpleCostFunction cost(family.schema.get());
-  plan_opt::PassManager manager;
-  for (auto _ : state) {
-    auto optimized = manager.Optimize(family.plan, *family.schema, cost);
-    benchmark::DoNotOptimize(optimized);
-  }
-  RecordOptimizeCounters(state, family);
-}
-BENCHMARK(BM_OptimizeAccessRedundant)->ArgName("copies")->Arg(4)->Arg(8);
 
 void BM_OptimizeJoinHeavy(benchmark::State& state) {
   Family family = MakeJoinHeavy(/*rows=*/128);
@@ -210,10 +166,10 @@ void RunExecBench(benchmark::State& state, const Family& family,
                .Optimize(family.plan, *family.schema, cost)
                .value();
   }
+  SimulatedSource source(family.schema.get(), family.instance.get());
+  ExecutionOptions options;
+  options.engine = ExecutionEngine::kVectorized;
   for (auto _ : state) {
-    SimulatedSource source(family.schema.get(), family.instance.get());
-    ExecutionOptions options;
-    options.engine = ExecutionEngine::kVectorized;
     auto result = ExecutePlan(plan, source, options);
     if (!result.ok()) state.SkipWithError(result.status().message().c_str());
     benchmark::DoNotOptimize(result);
@@ -222,18 +178,6 @@ void RunExecBench(benchmark::State& state, const Family& family,
   state.counters["access_commands"] =
       static_cast<double>(plan.NumAccessCommands());
 }
-
-void BM_ExecAccessRedundantUnopt(benchmark::State& state) {
-  Family family = MakeAccessRedundant(8, /*rows=*/1024);
-  RunExecBench(state, family, /*optimize=*/false);
-}
-BENCHMARK(BM_ExecAccessRedundantUnopt)->Unit(benchmark::kMicrosecond);
-
-void BM_ExecAccessRedundantOpt(benchmark::State& state) {
-  Family family = MakeAccessRedundant(8, /*rows=*/1024);
-  RunExecBench(state, family, /*optimize=*/true);
-}
-BENCHMARK(BM_ExecAccessRedundantOpt)->Unit(benchmark::kMicrosecond);
 
 void BM_ExecJoinHeavyUnopt(benchmark::State& state) {
   Family family = MakeJoinHeavy(/*rows=*/512);

@@ -58,11 +58,10 @@
 #
 # BENCH_plan_opt.json covers the plan-IR optimizer (DESIGN.md §11):
 # BM_Optimize* records cost-before/after and per-pass cost deltas on the
-# access-redundant, join-heavy and chain plan families (the CSE+DCE cost
-# reduction on the redundant family is the headline number), and
-# BM_Exec*Unopt/Opt pairs measure the end-to-end execution-time delta the
-# optimized plan buys on the vectorized engine (on the chain family, all
-# of it from binding-join elimination, at an unchanged cost).
+# join-heavy and chain plan families, and BM_Exec*Unopt/Opt pairs measure
+# the execution-time delta the optimized plan buys on the vectorized
+# engine (on the chain family, all of it from binding-join elimination, at
+# an unchanged cost).
 #
 # All summaries are printed below.
 set -euo pipefail
@@ -323,14 +322,14 @@ for name in sorted(opt_rows):
     pct = 100.0 * (1.0 - after / before) if before else 0.0
     deltas = ", ".join(
         f"{p}={b[p + '_cost_delta']:g}"
-        for p in ("cse", "pushdown", "dce", "join_reorder", "binding_join")
+        for p in ("pushdown", "join_reorder", "binding_join")
         if b.get(p + "_cost_delta"))
     attribution = f" [{deltas}]" if deltas else ""
     print(f"{name}: cost {before:g} -> {after:g} (-{pct:.0f}%), "
-          f"access commands {b.get('access_before', 0):g} -> "
-          f"{b.get('access_after', 0):g}{attribution}")
+          f"commands {b.get('commands_before', 0):g} -> "
+          f"{b.get('commands_after', 0):g}{attribution}")
 to_ms = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-for family in ("AccessRedundant", "JoinHeavy", "Chain"):
+for family in ("JoinHeavy", "Chain"):
     unopt = exec_rows.get(f"BM_Exec{family}Unopt")
     opt = exec_rows.get(f"BM_Exec{family}Opt")
     if not unopt or not opt or not opt["real_time"]:

@@ -14,6 +14,7 @@
 
 #include "lcp/accessible/accessible_schema.h"
 #include "lcp/plan/opt/pass_manager.h"
+#include "lcp/planner/proof_search.h"
 #include "lcp/runtime/executor.h"
 #include "lcp/runtime/faults.h"
 #include "lcp/runtime/source.h"
@@ -185,46 +186,44 @@ int main() {
             << " currently quarantined, availability epoch "
             << fstats.availability_epoch << "\n";
 
-  // --- 7. Plan optimizer: a redundant-access plan, before and after. ------
-  // The serving path optimizes every freshly-searched plan before cache
-  // admission (ServiceOptions::search.optimize_plans, on by default; §6
-  // above ran it too). To see the passes at work, hand the PassManager the
-  // kind of plan a naive planner emits: the same access issued three times,
-  // a selection left hanging above a scan — then print the per-pass stats.
+  // --- 7. Plan optimizer: the rewrites serving applies. -------------------
+  // The serving path optimizes every freshly searched plan before cache
+  // admission (ServiceOptions::search.optimize_plans, on by default). Here
+  // is §3's query again: the plan the search reads off its proof, the
+  // per-pass report, and the plan the service caches. The selection fold
+  // moves the "smith" filters into the accesses; binding-join elimination
+  // turns the join of Profinfo's answers back onto the ids that fed it into
+  // a scan of the answers. Neither adds or removes an access, so the cost
+  // stays the same.
   std::cout << "\n--- plan optimizer (DESIGN.md §11) ---\n";
-  Plan wasteful;
-  for (int i = 0; i < 3; ++i) {
-    AccessCommand access;
-    access.method = fast;
-    access.output_table = "t" + std::to_string(i);
-    access.output_columns = {{"x", 0}, {"y", 1}};
-    wasteful.commands.push_back(std::move(access));
-  }
-  wasteful.commands.push_back(QueryCommand{
-      "merged",
-      RaExpr::Union(RaExpr::Union(RaExpr::TempScan("t0"), RaExpr::TempScan("t1")),
-                    RaExpr::TempScan("t2"))});
-  wasteful.commands.push_back(QueryCommand{
-      "picked", RaExpr::Select(RaExpr::TempScan("merged"),
-                               {RaExpr::Condition::AttrEqConst(
-                                   "x", Value::Int(1))})});
-  wasteful.output_table = "picked";
-  wasteful.output_attrs = {"x", "y"};
-
-  plan_opt::PassManager optimizer;
+  AccessibleSchema edited =
+      AccessibleSchema::Build(schema, AccessibleVariant::kStandard).value();
+  Plan literal = ProofSearch(&edited, &cost)
+                     .Run(request.query, SearchOptions{})
+                     .value()
+                     .best->plan;
   plan_opt::OptimizeStats opt_stats;
-  Plan optimized =
-      optimizer.Optimize(wasteful, schema2, cost2, &opt_stats).value();
-  std::cout << opt_stats.ToString();
+  Plan optimized = plan_opt::PassManager()
+                       .Optimize(literal, schema, cost, &opt_stats)
+                       .value();
+  std::cout << "searched plan:\n"
+            << literal.ToString(schema) << opt_stats.ToString()
+            << "served plan:\n"
+            << optimized.ToString(schema);
+  const QueryResponse served = service.Call(request);
+  std::cout << "the service serves this plan: "
+            << (served.plan != nullptr && served.plan->plan == optimized
+                    ? "yes"
+                    : "no")
+            << "\n";
 
-  SimulatedSource demo_source(&schema2, &data2);
-  ExecutionResult before = ExecutePlan(wasteful, demo_source).value();
+  SimulatedSource demo_source(&schema, &instance);
+  ExecutionResult before = ExecutePlan(literal, demo_source).value();
   ExecutionResult after = ExecutePlan(optimized, demo_source).value();
-  std::cout << "unoptimized: " << before.access_commands
-            << " access commands, " << before.source_calls
-            << " source calls; optimized: " << after.access_commands
-            << " access commands, " << after.source_calls
-            << " source calls; both return " << after.output.size()
-            << " row(s)\n";
+  std::cout << "searched: " << before.access_commands << " access commands, "
+            << before.source_calls << " source calls; served: "
+            << after.access_commands << " access commands, "
+            << after.source_calls << " source calls; both return "
+            << after.output.size() << " row(s)\n";
   return 0;
 }

@@ -22,8 +22,8 @@ namespace plan_opt {
 /// union or difference reads all of both operands, a boolean plan output
 /// reads all of its table. Walking last to first collapses a whole chain
 /// in one run. No access command is added or removed, so plan cost cannot
-/// move. The PassManager runs the pass once, after its fixpoint loop, and
-/// only on a plan that has such a join (MayChange).
+/// move. The PassManager runs the pass last, and only on a plan that has
+/// such a join (MayChange).
 class BindingJoinPass : public PlanPass {
  public:
   const char* name() const override { return "binding_join"; }

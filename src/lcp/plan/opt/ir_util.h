@@ -27,29 +27,9 @@ Result<std::vector<std::string>> InferExprAttrs(const RaExpr& expr,
 /// inference failure — passes treat such plans as untransformable).
 void NoteCommand(const Command& cmd, AttrEnv& env);
 
-/// A canonical structural serialization of a whole command, *excluding* its
-/// output table name: equal keys mean the two commands produce identical
-/// tables (same attributes, same rows) over the same environment. Binding
-/// lists and position filters are order-normalized; output columns are kept
-/// in order (they fix the output schema). Temp table names are serialized
-/// as-is, so callers canonicalize references (SubstituteTables) before
-/// keying when they want equality modulo temp-table renaming.
-std::string CommandKey(const Command& cmd);
-
-/// Returns `expr` with every TempScan of a table in `renames` redirected to
-/// its replacement. Shares unchanged subtrees with the input.
-RaExprPtr SubstituteTables(
-    const RaExprPtr& expr,
-    const std::unordered_map<std::string, std::string>& renames);
-
-/// Appends the names of all temp tables scanned by `cmd`'s expressions.
-void AppendReferencedTables(const Command& cmd, std::vector<std::string>& out);
-
 /// Number of TempScan occurrences of `table` across all commands of `plan`
 /// (the plan output table itself is not counted).
 int CountTableReferences(const Plan& plan, const std::string& table);
-
-const std::string& OutputTableOf(const Command& cmd);
 
 }  // namespace plan_opt
 }  // namespace lcp

@@ -9,28 +9,24 @@
 namespace lcp {
 namespace plan_opt {
 
-/// Per-pass counters, accumulated across fixpoint iterations by the
-/// PassManager. Counters that don't apply to a pass stay zero.
+/// Per-pass counters of one Optimize() call. Counters that don't apply to a
+/// pass stay zero.
 struct PassStats {
   std::string pass;
 
-  /// Times the pass changed the plan (at most once per fixpoint iteration).
+  /// Commands the pass rewrote; binding-join elimination counts 1 for a
+  /// run that changed the plan (joins_removed counts its commands).
   int applications = 0;
-  int commands_removed = 0;
-  int access_commands_removed = 0;
-  /// Expressions rewritten to reference a CSE representative table.
-  int expressions_rewritten = 0;
   /// Post-access Select conjuncts folded into position filters.
   int selections_folded = 0;
-  /// Access input expressions narrowed to the bound columns.
-  int inputs_narrowed = 0;
   /// Join chains rebuilt in a different leaf order.
   int joins_reordered = 0;
   /// Joins of an access's answers back onto its binding table, replaced by
   /// a scan of the answers.
   int joins_removed = 0;
   /// Pass outputs discarded by the manager (failed validation or raised
-  /// cost). Always zero in a healthy build; counted so it is observable.
+  /// cost). Zero under the simple cost; under the cardinality cost a fold
+  /// can raise the estimate and is discarded (DESIGN.md §11).
   int rejected = 0;
 
   double cost_before = 0.0;

@@ -16,27 +16,21 @@ namespace plan_opt {
 
 /// Aggregate result of one Optimize() call.
 struct OptimizeStats {
-  /// One entry per pass, in pipeline order (the fixpoint passes, then
-  /// binding-join elimination), counters summed across fixpoint iterations.
+  /// One entry per pass, in pipeline order.
   std::vector<PassStats> passes;
-  int fixpoint_iterations = 0;
   bool changed = false;
   double cost_before = 0.0;
   double cost_after = 0.0;
   int commands_before = 0;
   int commands_after = 0;
-  int access_commands_before = 0;
-  int access_commands_after = 0;
 
   /// Multi-line human-readable report (used by the service demo).
   std::string ToString() const;
 };
 
-/// Runs the pass pipeline — CSE, pushdown, DCE, join reorder — over a plan
-/// until fixpoint, for at most four iterations (each runs every pass once;
-/// the loop exits early when an iteration changes nothing), then
-/// binding-join elimination once. Every pass output is re-checked with
-/// ValidatePlan and re-costed under `cost`; an
+/// Runs the pass pipeline once over a plan: the selection fold
+/// (PushdownPass), join reorder, then binding-join elimination. Every pass
+/// output is re-checked with ValidatePlan and re-costed under `cost`; an
 /// output that fails validation or costs more than its input is discarded
 /// (counted in PassStats::rejected), so Optimize never returns a plan that
 /// is invalid or costlier than its input. Errors only on an input plan that
@@ -51,10 +45,8 @@ class PassManager {
                         OptimizeStats* stats = nullptr) const;
 
  private:
-  /// Run to fixpoint, in order.
+  /// Run once each, in order.
   std::vector<std::unique_ptr<const PlanPass>> passes_;
-  /// Run once, after the fixpoint loop.
-  std::unique_ptr<const PlanPass> final_pass_;
 };
 
 }  // namespace plan_opt

@@ -1,9 +1,7 @@
 #include "lcp/plan/opt/pushdown.h"
 
-#include <algorithm>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -92,8 +90,6 @@ bool MapConditionsToPositions(const std::vector<RaExpr::Condition>& conds,
 bool PushdownPass::Run(Plan& plan, const Schema& /*schema*/,
                        PassStats& stats) const {
   bool changed = false;
-
-  // Selection folding.
   for (Command& producer : plan.commands) {
     auto* access = std::get_if<AccessCommand>(&producer);
     if (access == nullptr) continue;
@@ -113,35 +109,6 @@ bool PushdownPass::Run(Plan& plan, const Schema& /*schema*/,
       changed = true;
       break;  // The unique reference was handled.
     }
-  }
-
-  // Input narrowing, walking front-to-back to know each table's schema.
-  AttrEnv env;
-  for (Command& cmd : plan.commands) {
-    auto* access = std::get_if<AccessCommand>(&cmd);
-    if (access != nullptr && access->input != nullptr &&
-        !access->input_binding.empty()) {
-      Result<std::vector<std::string>> attrs =
-          InferExprAttrs(*access->input, env);
-      if (attrs.ok()) {
-        std::unordered_set<std::string> bound;
-        for (const auto& [attr, pos] : access->input_binding) {
-          bound.insert(attr);
-        }
-        std::vector<std::string> narrow;
-        for (const std::string& attr : attrs.value()) {
-          if (bound.count(attr)) narrow.push_back(attr);
-        }
-        if (narrow.size() == bound.size() &&
-            narrow.size() < attrs.value().size()) {
-          access->input = RaExpr::Project(access->input, std::move(narrow));
-          ++stats.inputs_narrowed;
-          ++stats.applications;
-          changed = true;
-        }
-      }
-    }
-    NoteCommand(cmd, env);
   }
   return changed;
 }

@@ -6,21 +6,14 @@
 namespace lcp {
 namespace plan_opt {
 
-/// Projection/selection pushdown around access commands.
-///
-/// Selection folding: when an access output table is scanned exactly once
-/// in the whole plan and that occurrence is `Select(TempScan(T), conds)`,
-/// the conjuncts are translated through the access's output-column mapping
-/// into `position_equalities`/`position_constants` (filters the executor
-/// applies to raw returned tuples, before the output mapping) and the
-/// Select node disappears. Equivalent because each output attribute copies
-/// exactly one returned position.
-///
-/// Input narrowing: an access input expression is wrapped in a Project onto
-/// the attributes its `input_binding` actually consumes. The executor
-/// dispatches one source call per *distinct* binding tuple, so dropping
-/// unused columns (which only merges rows that bind identically) leaves the
-/// dispatched call set — and hence the output table — unchanged.
+/// Selection pushdown into access commands: when an access output table is
+/// scanned exactly once in the whole plan and that occurrence is
+/// `Select(TempScan(T), conds)`, the conjuncts are translated through the
+/// access's output-column mapping into `position_equalities`/
+/// `position_constants` (filters the executor applies to raw returned
+/// tuples, before the output mapping) and the Select node disappears.
+/// Equivalent because each output attribute copies exactly one returned
+/// position.
 class PushdownPass : public PlanPass {
  public:
   const char* name() const override { return "pushdown"; }

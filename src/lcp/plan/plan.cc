@@ -1,9 +1,10 @@
 #include "lcp/plan/plan.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "lcp/base/strings.h"
-#include "lcp/plan/opt/ir_util.h"
 
 namespace lcp {
 
@@ -19,6 +20,13 @@ const char* PlanLanguageName(PlanLanguage lang) {
       return "RA";
   }
   return "?";
+}
+
+const std::string& OutputTableOf(const Command& cmd) {
+  if (const auto* access = std::get_if<AccessCommand>(&cmd)) {
+    return access->output_table;
+  }
+  return std::get<QueryCommand>(cmd).output_table;
 }
 
 int Plan::NumAccessCommands() const {
@@ -95,12 +103,140 @@ std::string Plan::ToString(const Schema& schema) const {
 
 namespace {
 
-/// The full structural form of one command: plan_opt::CommandKey covers
-/// everything except the output-table name (the optimizer compares commands
-/// modulo renaming); equality of whole plans needs the name too, since later
-/// commands reference it.
-std::string FullCommandKey(const Command& cmd) {
-  return StrCat(plan_opt::OutputTableOf(cmd), "<-", plan_opt::CommandKey(cmd));
+/// Serializes one value unambiguously (type tag + payload length).
+void KeyValue(std::string& key, const Value& v) {
+  if (v.is_int()) {
+    StrAppend(&key, "i", v.AsInt());
+  } else {
+    StrAppend(&key, "s", v.AsString().size(), ":", v.AsString());
+  }
+}
+
+void KeyName(std::string& key, const std::string& name) {
+  StrAppend(&key, name.size(), ":", name);
+}
+
+void KeyExpr(std::string& key, const RaExpr& expr) {
+  switch (expr.op()) {
+    case RaExpr::Op::kTempScan:
+      key += "T(";
+      KeyName(key, expr.table());
+      key += ")";
+      return;
+    case RaExpr::Op::kSingleton:
+      key += "1";
+      return;
+    case RaExpr::Op::kProject:
+      key += "P[";
+      for (const std::string& a : expr.attrs()) KeyName(key, a);
+      key += "](";
+      KeyExpr(key, *expr.children()[0]);
+      key += ")";
+      return;
+    case RaExpr::Op::kSelect: {
+      key += "S[";
+      for (const RaExpr::Condition& c : expr.conditions()) {
+        if (c.kind == RaExpr::Condition::Kind::kAttrEqAttr) {
+          key += "a";
+          KeyName(key, c.lhs);
+          KeyName(key, c.rhs_attr);
+        } else {
+          key += "c";
+          KeyName(key, c.lhs);
+          KeyValue(key, c.rhs_const);
+        }
+      }
+      key += "](";
+      KeyExpr(key, *expr.children()[0]);
+      key += ")";
+      return;
+    }
+    case RaExpr::Op::kJoin:
+    case RaExpr::Op::kUnion:
+    case RaExpr::Op::kDifference:
+      key += expr.op() == RaExpr::Op::kJoin
+                 ? "J("
+                 : expr.op() == RaExpr::Op::kUnion ? "U(" : "D(";
+      KeyExpr(key, *expr.children()[0]);
+      key += ",";
+      KeyExpr(key, *expr.children()[1]);
+      key += ")";
+      return;
+    case RaExpr::Op::kRename:
+      key += "R[";
+      for (const auto& [from, to] : expr.renames()) {
+        KeyName(key, from);
+        KeyName(key, to);
+      }
+      key += "](";
+      KeyExpr(key, *expr.children()[0]);
+      key += ")";
+      return;
+  }
+}
+
+/// The canonical structural form of one command, compared by operator==:
+/// binding lists and position filters are order-normalized; output columns
+/// are kept in order (they fix the output schema).
+std::string CommandKey(const Command& cmd) {
+  std::string key = StrCat(OutputTableOf(cmd), "<-");
+  if (const auto* access = std::get_if<AccessCommand>(&cmd)) {
+    StrAppend(&key, "A", access->method, "|");
+    if (access->input != nullptr) KeyExpr(key, *access->input);
+    key += "|";
+    // Binding lists and position filters are sets semantically: normalize
+    // their order so permuted but identical accesses compare equal.
+    auto bindings = access->input_binding;
+    std::sort(bindings.begin(), bindings.end(),
+              [](const auto& a, const auto& b) {
+                return a.second != b.second ? a.second < b.second
+                                            : a.first < b.first;
+              });
+    for (const auto& [attr, pos] : bindings) {
+      StrAppend(&key, pos, "=");
+      KeyName(key, attr);
+    }
+    key += "|";
+    auto constants = access->constant_inputs;
+    std::sort(constants.begin(), constants.end(),
+              [](const auto& a, const auto& b) {
+                if (a.first != b.first) return a.first < b.first;
+                return a.second < b.second;
+              });
+    for (const auto& [pos, value] : constants) {
+      StrAppend(&key, pos, "=");
+      KeyValue(key, value);
+    }
+    key += "|";
+    std::vector<std::pair<int, int>> equalities;
+    for (const auto& [a, b] : access->position_equalities) {
+      equalities.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    std::sort(equalities.begin(), equalities.end());
+    for (const auto& [a, b] : equalities) StrAppend(&key, a, "~", b, ";");
+    key += "|";
+    auto pos_constants = access->position_constants;
+    std::sort(pos_constants.begin(), pos_constants.end(),
+              [](const auto& a, const auto& b) {
+                if (a.first != b.first) return a.first < b.first;
+                return a.second < b.second;
+              });
+    for (const auto& [pos, value] : pos_constants) {
+      StrAppend(&key, pos, "=");
+      KeyValue(key, value);
+    }
+    key += "|";
+    // Output columns stay in order: they fix the output table's schema.
+    for (const auto& [attr, pos] : access->output_columns) {
+      KeyName(key, attr);
+      StrAppend(&key, ":", pos, ";");
+    }
+  } else {
+    const QueryCommand& query = std::get<QueryCommand>(cmd);
+    key += "Q|";
+    if (query.expr != nullptr) KeyExpr(key, *query.expr);
+  }
+  return key;
 }
 
 }  // namespace
@@ -111,7 +247,7 @@ bool operator==(const Plan& a, const Plan& b) {
     return false;
   }
   for (size_t i = 0; i < a.commands.size(); ++i) {
-    if (FullCommandKey(a.commands[i]) != FullCommandKey(b.commands[i])) {
+    if (CommandKey(a.commands[i]) != CommandKey(b.commands[i])) {
       return false;
     }
   }
@@ -130,7 +266,7 @@ uint64_t PlanStructuralHash(const Plan& plan) {
     h ^= 0xff;  // separator so adjacent pieces cannot alias
     h *= 0x100000001b3ULL;
   };
-  for (const Command& cmd : plan.commands) mix(FullCommandKey(cmd));
+  for (const Command& cmd : plan.commands) mix(CommandKey(cmd));
   mix(plan.output_table);
   for (const std::string& attr : plan.output_attrs) mix(attr);
   h += 0x9e3779b97f4a7c15ULL;

@@ -46,6 +46,9 @@ struct QueryCommand {
 
 using Command = std::variant<AccessCommand, QueryCommand>;
 
+/// The temporary table `cmd` writes.
+const std::string& OutputTableOf(const Command& cmd);
+
 /// Plan language classification (§2): SPJ ⊂ USPJ ⊂ USPJ¬ ⊂ RA.
 enum class PlanLanguage { kSpj, kUspj, kUspjNeg, kRa };
 

@@ -88,9 +88,8 @@ struct SearchOptions {
   /// unlimited.
   Budget* budget = nullptr;
   /// Run the plan-IR optimizer pipeline (plan/opt/, DESIGN.md §11) over
-  /// every returned plan once the search has finished: common-subplan
-  /// elimination, projection/selection pushdown, dead-command elimination,
-  /// and join reorder, each re-validated and
+  /// every returned plan once the search has finished: the selection fold,
+  /// join reorder and binding-join elimination, each re-validated and
   /// guaranteed not to raise cost. `best->cost` is re-evaluated afterwards,
   /// so it can only drop. Off by default — proof-generated plans are often
   /// already minimal and differential harnesses may want the literal plan;

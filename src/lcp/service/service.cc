@@ -255,10 +255,6 @@ ServiceStats QueryService::SnapshotStats() const {
   s.access_bindings = access_bindings_.load(std::memory_order_relaxed);
   s.epoch_bumps = epoch_bumps_.load(std::memory_order_relaxed);
   s.plans_optimized = plans_optimized_.load(std::memory_order_relaxed);
-  s.optimizer_commands_removed =
-      optimizer_commands_removed_.load(std::memory_order_relaxed);
-  s.optimizer_access_commands_removed =
-      optimizer_access_commands_removed_.load(std::memory_order_relaxed);
   s.optimizer_cost_saved_milli =
       optimizer_cost_saved_milli_.load(std::memory_order_relaxed);
   s.queue_depth_high_water =
@@ -533,14 +529,6 @@ std::shared_ptr<const CachedPlan> QueryService::PlanAndCache(
     }
     if (outcome->optimized && outcome->optimize.changed) {
       plans_optimized_.fetch_add(1, std::memory_order_relaxed);
-      optimizer_commands_removed_.fetch_add(
-          static_cast<uint64_t>(outcome->optimize.commands_before -
-                                outcome->optimize.commands_after),
-          std::memory_order_relaxed);
-      optimizer_access_commands_removed_.fetch_add(
-          static_cast<uint64_t>(outcome->optimize.access_commands_before -
-                                outcome->optimize.access_commands_after),
-          std::memory_order_relaxed);
       const double saved =
           outcome->optimize.cost_before - outcome->optimize.cost_after;
       if (saved > 0) {

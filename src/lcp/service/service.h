@@ -63,7 +63,8 @@ struct ServiceOptions {
   /// `collect_exploration_log` is always off (the service never reads it).
   /// Each episode's search runs on the worker that serves the request.
   /// `search.optimize_plans`, on by default here, runs the plan-IR optimizer
-  /// (plan/opt/, DESIGN.md §11) on every freshly planned query before cache
+  /// (plan/opt/, DESIGN.md §11: the selection fold, join reorder and
+  /// binding-join elimination) on every freshly planned query before cache
   /// admission, so warm hits serve pre-optimized plans and admission sees
   /// the optimized cost. It is validated per pass, can only lower cost, and
   /// its one-time latency is amortized over every hit.
@@ -197,9 +198,7 @@ struct ServiceStats {
   uint64_t executions = 0;
   /// Plan-IR optimizer totals over freshly planned queries (zero when
   /// ServiceOptions::search.optimize_plans is off).
-  uint64_t plans_optimized = 0;             ///< Optimizer runs that changed the plan.
-  uint64_t optimizer_commands_removed = 0;  ///< Commands eliminated in total.
-  uint64_t optimizer_access_commands_removed = 0;
+  uint64_t plans_optimized = 0;  ///< Optimizer runs that changed the plan.
   /// Total cost removed by the optimizer, in 1/1000 cost units (counters are
   /// integers; the shipped cost models are sums of method costs, so
   /// milli-units lose nothing in practice).
@@ -489,8 +488,6 @@ class QueryService {
   std::atomic<uint64_t> access_bindings_{0};
   std::atomic<uint64_t> epoch_bumps_{0};
   std::atomic<uint64_t> plans_optimized_{0};
-  std::atomic<uint64_t> optimizer_commands_removed_{0};
-  std::atomic<uint64_t> optimizer_access_commands_removed_{0};
   std::atomic<uint64_t> optimizer_cost_saved_milli_{0};
   std::atomic<uint64_t> failovers_{0};
   std::atomic<uint64_t> degraded_responses_{0};

@@ -19,8 +19,6 @@
 #include "lcp/data/generator.h"
 #include "lcp/plan/cardinality_cost.h"
 #include "lcp/plan/opt/binding_join.h"
-#include "lcp/plan/opt/cse.h"
-#include "lcp/plan/opt/dce.h"
 #include "lcp/plan/opt/join_reorder.h"
 #include "lcp/plan/opt/pass_manager.h"
 #include "lcp/plan/opt/pushdown.h"
@@ -35,8 +33,6 @@ namespace lcp {
 namespace {
 
 using plan_opt::BindingJoinPass;
-using plan_opt::CsePass;
-using plan_opt::DcePass;
 using plan_opt::JoinReorderPass;
 using plan_opt::OptimizeStats;
 using plan_opt::PassManager;
@@ -117,99 +113,6 @@ void ExpectSameResults(const Plan& original, const Plan& optimized,
 // ---------------------------------------------------------------------------
 // Per-pass unit tests.
 
-TEST(CsePassTest, AliasesDuplicateAccessCommands) {
-  Schema schema = MakeSchema();
-  Plan plan;
-  plan.commands.push_back(FreeAccess(0, "t0"));
-  plan.commands.push_back(FreeAccess(0, "t1"));  // structurally identical
-  plan.commands.push_back(QueryCommand{
-      "t2", RaExpr::Join(RaExpr::TempScan("t0"), RaExpr::TempScan("t1"))});
-  plan.output_table = "t2";
-  plan.output_attrs = {"a", "b"};
-
-  PassStats stats;
-  EXPECT_TRUE(CsePass().Run(plan, schema, stats));
-  EXPECT_EQ(stats.applications, 1);
-  EXPECT_EQ(stats.expressions_rewritten, 1);
-  // The duplicate stays (now dead); the join references only t0.
-  ASSERT_EQ(plan.commands.size(), 3u);
-  const auto& join = *std::get<QueryCommand>(plan.commands[2]).expr;
-  EXPECT_EQ(join.children()[0]->table(), "t0");
-  EXPECT_EQ(join.children()[1]->table(), "t0");
-  EXPECT_TRUE(ValidatePlan(plan, schema).ok());
-}
-
-TEST(CsePassTest, MatchesModuloTempTableRenaming) {
-  Schema schema = MakeSchema();
-  Plan plan;
-  plan.commands.push_back(FreeAccess(0, "t0"));
-  plan.commands.push_back(FreeAccess(0, "t1"));
-  // Structurally identical projections — but over differently-named inputs,
-  // so only the alias substitution makes their keys collide.
-  plan.commands.push_back(
-      QueryCommand{"q0", RaExpr::Project(RaExpr::TempScan("t0"), {"a"})});
-  plan.commands.push_back(
-      QueryCommand{"q1", RaExpr::Project(RaExpr::TempScan("t1"), {"a"})});
-  plan.commands.push_back(QueryCommand{
-      "out", RaExpr::Union(RaExpr::TempScan("q0"), RaExpr::TempScan("q1"))});
-  plan.output_table = "out";
-  plan.output_attrs = {"a"};
-
-  PassStats stats;
-  EXPECT_TRUE(CsePass().Run(plan, schema, stats));
-  EXPECT_EQ(stats.applications, 2);  // t1 -> t0, then q1 -> q0
-  const auto& u = *std::get<QueryCommand>(plan.commands[4]).expr;
-  EXPECT_EQ(u.children()[0]->table(), "q0");
-  EXPECT_EQ(u.children()[1]->table(), "q0");
-
-  // DCE then erases both duplicates.
-  PassStats dce_stats;
-  EXPECT_TRUE(DcePass().Run(plan, schema, dce_stats));
-  EXPECT_EQ(dce_stats.commands_removed, 2);
-  EXPECT_EQ(dce_stats.access_commands_removed, 1);
-  EXPECT_EQ(plan.commands.size(), 3u);
-  EXPECT_TRUE(ValidatePlan(plan, schema).ok());
-}
-
-TEST(DcePassTest, RemovesUnreferencedCommands) {
-  Schema schema = MakeSchema();
-  Plan plan;
-  plan.commands.push_back(FreeAccess(0, "t0"));
-  plan.commands.push_back(FreeAccess(0, "unused_access"));
-  plan.commands.push_back(QueryCommand{
-      "unused_query", RaExpr::Project(RaExpr::TempScan("t0"), {"a"})});
-  plan.output_table = "t0";
-  plan.output_attrs = {"a", "b"};
-
-  PassStats stats;
-  EXPECT_TRUE(DcePass().Run(plan, schema, stats));
-  EXPECT_EQ(stats.commands_removed, 2);
-  EXPECT_EQ(stats.access_commands_removed, 1);
-  ASSERT_EQ(plan.commands.size(), 1u);
-  EXPECT_TRUE(ValidatePlan(plan, schema).ok());
-
-  // Idempotent: a second run finds nothing.
-  PassStats again;
-  EXPECT_FALSE(DcePass().Run(plan, schema, again));
-}
-
-TEST(DcePassTest, RunThatRemovesNothingLeavesThePlanIntact) {
-  // A pass that returns false must not have changed the plan: the
-  // PassManager skips the copy for a pass whose MayChange says so.
-  Schema schema = MakeSchema();
-  Plan plan;
-  plan.commands.push_back(FreeAccess(0, "t0"));
-  plan.commands.push_back(QueryCommand{
-      "t1", RaExpr::Project(RaExpr::TempScan("t0"), {"a"})});
-  plan.output_table = "t1";
-  plan.output_attrs = {"a"};
-  const Plan original = plan;
-  PassStats stats;
-  EXPECT_FALSE(DcePass().Run(plan, schema, stats));
-  EXPECT_TRUE(plan == original);
-  EXPECT_TRUE(ValidatePlan(plan, schema).ok());
-}
-
 TEST(PushdownPassTest, FoldsSelectionIntoAccess) {
   Schema schema = MakeSchema();
   Instance instance = SmallInstance(schema);
@@ -257,36 +160,6 @@ TEST(PushdownPassTest, DoesNotFoldWhenTableHasOtherReaders) {
   EXPECT_EQ(stats.selections_folded, 0);
   EXPECT_TRUE(
       std::get<AccessCommand>(plan.commands[0]).position_constants.empty());
-}
-
-TEST(PushdownPassTest, NarrowsAccessInputToBoundColumns) {
-  Schema schema = MakeSchema();
-  Instance instance = SmallInstance(schema);
-  Plan plan;
-  plan.commands.push_back(FreeAccess(0, "t0"));
-  AccessCommand keyed;
-  keyed.method = 1;
-  keyed.input = RaExpr::TempScan("t0");  // two columns, one consumed
-  keyed.input_binding = {{"b", 0}};
-  keyed.output_table = "t1";
-  keyed.output_columns = {{"b", 0}, {"c", 1}};
-  plan.commands.push_back(keyed);
-  plan.output_table = "t1";
-  plan.output_attrs = {"b", "c"};
-  const Plan original = plan;
-
-  PassStats stats;
-  EXPECT_TRUE(PushdownPass().Run(plan, schema, stats));
-  EXPECT_EQ(stats.inputs_narrowed, 1);
-  const auto& access = std::get<AccessCommand>(plan.commands[1]);
-  ASSERT_EQ(access.input->op(), RaExpr::Op::kProject);
-  EXPECT_EQ(access.input->attrs(), std::vector<std::string>{"b"});
-  EXPECT_TRUE(ValidatePlan(plan, schema).ok());
-  ExpectSameResults(original, plan, schema, instance, /*seed=*/-1);
-
-  // Already narrow: nothing more to do.
-  PassStats again;
-  EXPECT_FALSE(PushdownPass().Run(plan, schema, again));
 }
 
 TEST(JoinReorderPassTest, MovesSharedAttributesTogether) {
@@ -533,29 +406,49 @@ TEST(BindingJoinPassTest, UnboundSharedAttributeKeepsTheJoin) {
 // ---------------------------------------------------------------------------
 // PassManager contracts.
 
-TEST(PassManagerTest, PipelineCollapsesRedundantAccessesAndLowersCost) {
-  Schema schema = MakeSchema();
-  Instance instance = SmallInstance(schema);
-  Plan plan;
-  plan.commands.push_back(FreeAccess(0, "t0"));
-  plan.commands.push_back(FreeAccess(0, "t1"));
-  plan.commands.push_back(QueryCommand{
-      "t2", RaExpr::Join(RaExpr::TempScan("t0"), RaExpr::TempScan("t1"))});
-  plan.output_table = "t2";
-  plan.output_attrs = {"a", "b"};
+TEST(PassManagerTest, RunsEachPassOnceInOrder) {
+  // Example 1's proof plan: two selections fold into their accesses and
+  // the join of Profinfo's answers back onto its binding table becomes a
+  // scan. Each pass runs once, and a second Optimize finds nothing left.
+  auto scenario = MakeProfinfoScenario(/*boolean_query=*/false).value();
+  auto accessible =
+      AccessibleSchema::Build(*scenario.schema, AccessibleVariant::kStandard)
+          .value();
+  SimpleCostFunction cost(scenario.schema.get());
+  auto literal = ProofSearch(&accessible, &cost).Run(scenario.query, {});
+  ASSERT_TRUE(literal.ok() && literal->best.has_value());
+  const Plan& plan = literal->best->plan;
 
-  SimpleCostFunction cost(&schema);
   PassManager manager;
   OptimizeStats stats;
-  auto optimized = manager.Optimize(plan, schema, cost, &stats);
+  auto optimized = manager.Optimize(plan, *scenario.schema, cost, &stats);
   ASSERT_TRUE(optimized.ok()) << optimized.status();
+  ASSERT_EQ(stats.passes.size(), 3u);
+  EXPECT_EQ(stats.passes[0].pass, "pushdown");
+  EXPECT_EQ(stats.passes[0].selections_folded, 2);
+  EXPECT_EQ(stats.passes[1].pass, "join_reorder");
+  EXPECT_EQ(stats.passes[1].applications, 0);
+  EXPECT_EQ(stats.passes[2].pass, "binding_join");
+  EXPECT_EQ(stats.passes[2].joins_removed, 1);
+  for (const PassStats& pass : stats.passes) EXPECT_EQ(pass.rejected, 0);
   EXPECT_TRUE(stats.changed);
-  EXPECT_EQ(stats.access_commands_before, 2);
-  EXPECT_EQ(stats.access_commands_after, 1);
-  EXPECT_DOUBLE_EQ(stats.cost_before, 4.0);
-  EXPECT_DOUBLE_EQ(stats.cost_after, 2.0);
-  EXPECT_TRUE(ValidatePlan(*optimized, schema).ok());
-  ExpectSameResults(plan, *optimized, schema, instance, /*seed=*/-1);
+  EXPECT_EQ(stats.commands_after, stats.commands_before);
+  EXPECT_DOUBLE_EQ(stats.cost_after, stats.cost_before);
+  EXPECT_TRUE(ValidatePlan(*optimized, *scenario.schema).ok());
+
+  OptimizeStats again;
+  auto twice = manager.Optimize(*optimized, *scenario.schema, cost, &again);
+  ASSERT_TRUE(twice.ok()) << twice.status();
+  EXPECT_FALSE(again.changed);
+  EXPECT_TRUE(*twice == *optimized);
+
+  GeneratorOptions gen;
+  gen.facts_per_relation = 16;
+  gen.seed = 3;
+  auto instance = GenerateInstance(*scenario.schema, gen);
+  ASSERT_TRUE(instance.ok());
+  ExpectSameResults(plan, *optimized, *scenario.schema, *instance,
+                    /*seed=*/-1);
 }
 
 TEST(PassManagerTest, ErrorsOnInvalidInputPlan) {
@@ -571,10 +464,11 @@ TEST(PassManagerTest, ErrorsOnInvalidInputPlan) {
 // ---------------------------------------------------------------------------
 // Seeded differential + property suite over redundancy-heavy random plans.
 
-/// Builds random always-valid plans that are deliberately wasteful: cloned
-/// access commands, selections left above scans, full-width inputs into
-/// keyed accesses, and shuffled join chains — exactly the shapes the passes
-/// claim to clean up.
+/// Builds random always-valid plans that are deliberately wasteful:
+/// selections left above scans, shuffled join chains and binding joins
+/// (what the passes clean up), mixed with shapes no proof plan has and the
+/// passes must leave correct: cloned access commands, unread commands and
+/// full-width inputs into keyed accesses.
 class RedundantPlanBuilder {
  public:
   explicit RedundantPlanBuilder(uint64_t seed) : prng_(seed) {}
@@ -618,7 +512,7 @@ class RedundantPlanBuilder {
 
   Plan BuildPlan() {
     Plan plan;
-    // Free accesses, each cloned with probability 1/2 (CSE + DCE bait).
+    // Free accesses, each cloned with probability 1/2.
     const int num_free = 1 + static_cast<int>(Pick(2));
     for (int i = 0; i < num_free; ++i) {
       const size_t m = Pick(free_methods_.size());
@@ -653,7 +547,7 @@ class RedundantPlanBuilder {
           plan.commands.push_back(std::move(query));
           break;
         }
-        case 1: {  // keyed access fed the full table (narrowing bait)
+        case 1: {  // keyed access fed the full table
           if (keyed_methods_.empty()) break;
           const size_t k = Pick(keyed_methods_.size());
           const std::string& table = tables_[Pick(tables_.size())];
@@ -934,11 +828,10 @@ TEST(PlanOptDifferentialTest, RandomRedundantPlansStayEquivalent) {
     // Cost monotonicity + validity: the PassManager contract.
     EXPECT_TRUE(ValidatePlan(*optimized, schema).ok()) << "seed " << seed;
     EXPECT_LE(stats.cost_after, stats.cost_before + 1e-9) << "seed " << seed;
-    EXPECT_LE(stats.commands_after, stats.commands_before) << "seed " << seed;
-    EXPECT_LE(stats.access_commands_after, stats.access_commands_before)
-        << "seed " << seed;
-    // Under the simple model every pass is provably cost-non-increasing
-    // (none of them adds an access command), so the guard never fires.
+    // No pass adds or removes a command.
+    EXPECT_EQ(stats.commands_after, stats.commands_before) << "seed " << seed;
+    // Under the simple model every pass is provably cost-neutral (none of
+    // them adds or removes an access command), so the guard never fires.
     // Under the cardinality model a fold can raise the *estimate* (the
     // estimator scores Select selectivity, not position filters) and the
     // guard is expected to discard exactly those outputs — so rejections
@@ -992,6 +885,12 @@ TEST(PlanOptDifferentialTest, ProofSearchPlansStayEquivalent) {
     EXPECT_TRUE(
         ValidatePlan(optimized->best->plan, *scenario->schema).ok())
         << scenario->name;
+    // One run of each pass leaves nothing for a second run.
+    OptimizeStats again;
+    auto twice = PassManager().Optimize(optimized->best->plan,
+                                        *scenario->schema, cost, &again);
+    ASSERT_TRUE(twice.ok()) << scenario->name;
+    EXPECT_FALSE(again.changed) << scenario->name;
 
     GeneratorOptions gen;
     gen.facts_per_relation = 12;

@@ -233,8 +233,10 @@ TEST(ProofSearchTest, Example5Figure1ExplorationWithPaperHeuristic) {
   EXPECT_GT(outcome->stats.pruned_dominance, 0);
 }
 
-/// The listing of the best plan for `scenario` under the simple cost.
-std::string BestPlanText(const Scenario& scenario, int max_access_commands) {
+/// The listing of the best plan for `scenario` under the simple cost, run
+/// through the plan-IR optimizer if `optimize`.
+std::string BestPlanText(const Scenario& scenario, int max_access_commands,
+                         bool optimize = false) {
   auto accessible =
       AccessibleSchema::Build(*scenario.schema, AccessibleVariant::kStandard);
   EXPECT_TRUE(accessible.ok()) << accessible.status();
@@ -243,6 +245,7 @@ std::string BestPlanText(const Scenario& scenario, int max_access_commands) {
   ProofSearch search(&*accessible, &cost);
   SearchOptions options;
   options.max_access_commands = max_access_commands;
+  options.optimize_plans = optimize;
   auto outcome = search.Run(scenario.query, options);
   EXPECT_TRUE(outcome.ok()) << outcome.status();
   if (!outcome.ok() || !outcome->best.has_value()) return "";
@@ -293,6 +296,76 @@ TEST(ProofSearchTest, BestPlanTextIsPinned) {
             "t4_f0 := project[eid_0,onum_1,lname_2](rename[#p0->eid_0,#p1->onum_1,#p2->lname_2](scan(t4_raw)))\n"
             "t4 := (scan(t3) join scan(t4_f0))\n"
             "output: t4\n");
+}
+
+TEST(ProofSearchTest, OptimizedPlanTextIsPinned) {
+  // The served form of the plans above: the selection fold moves each
+  // access's constant filter into the access, and binding-join elimination
+  // turns every join of an access's answers back onto its binding table
+  // into a scan of the answers. The one join left (t2 in Example 2) shares
+  // no attribute with an input the access binds.
+  auto profinfo = MakeProfinfoScenario(/*boolean_query=*/false);
+  ASSERT_TRUE(profinfo.ok()) << profinfo.status();
+  EXPECT_EQ(BestPlanText(*profinfo, 3, /*optimize=*/true),
+            "t1_raw <- mt_udirect <- {} where pos1=\"smith\" out(#p0:0,#p1:1)\n"
+            "t1_f0 := project[eid_0](rename[#p0->eid_0](scan(t1_raw)))\n"
+            "t1 := scan(t1_f0)\n"
+            "t2_raw <- mt_profinfo <- project[eid_0](scan(t1)) where pos2=\"smith\" out(#p0:0,#p1:1,#p2:2)\n"
+            "t2_f0 := project[eid_0,onum_1](rename[#p0->eid_0,#p1->onum_1](scan(t2_raw)))\n"
+            "t2 := scan(t2_f0)\n"
+            "t2_out := project[eid_0](scan(t2))\n"
+            "output: t2_out[eid_0]\n");
+
+  auto telephone = MakeTelephoneScenario();
+  ASSERT_TRUE(telephone.ok()) << telephone.status();
+  EXPECT_EQ(BestPlanText(*telephone, 5, /*optimize=*/true),
+            "t1_raw <- mt_names <- {} out(#p0:0)\n"
+            "t1_f0 := project[uname_1](rename[#p0->uname_1](scan(t1_raw)))\n"
+            "t1 := scan(t1_f0)\n"
+            "t2_raw <- mt_ids <- {} out(#p0:0)\n"
+            "t2_f0 := project[i_3](rename[#p0->i_3](scan(t2_raw)))\n"
+            "t2 := (scan(t1) join scan(t2_f0))\n"
+            "t3_raw <- mt_direct1 <- project[uname_1,i_3](scan(t2)) out(#p0:0,#p1:1,#p2:2)\n"
+            "t3_f0 := project[uname_1,addr_2,i_3](rename[#p0->uname_1,#p1->addr_2,#p2->i_3](scan(t3_raw)))\n"
+            "t3 := scan(t3_f0)\n"
+            "t4_raw <- mt_direct2 <- project[uname_1,addr_2](scan(t3)) out(#p0:0,#p1:1,#p2:2)\n"
+            "t4_f0 := project[uname_1,addr_2,phone_0](rename[#p0->uname_1,#p1->addr_2,#p2->phone_0](scan(t4_raw)))\n"
+            "t4 := scan(t4_f0)\n"
+            "t4_out := project[phone_0](scan(t4))\n"
+            "output: t4_out[phone_0]\n");
+
+  const double costs[] = {5.0, 1.0, 3.0};
+  auto multi = MakeMultiSourceScenario(3, costs, /*profinfo_cost=*/1.0);
+  ASSERT_TRUE(multi.ok()) << multi.status();
+  EXPECT_EQ(BestPlanText(*multi, 4, /*optimize=*/true),
+            "t3_raw <- mt_udirect2 <- {} out(#p0:0,#p1:1)\n"
+            "t3_f0 := project[eid_0,lname_2](rename[#p0->eid_0,#p1->lname_2](scan(t3_raw)))\n"
+            "t3 := scan(t3_f0)\n"
+            "t4_raw <- mt_profinfo <- project[eid_0,lname_2](scan(t3)) out(#p0:0,#p1:1,#p2:2)\n"
+            "t4_f0 := project[eid_0,onum_1,lname_2](rename[#p0->eid_0,#p1->onum_1,#p2->lname_2](scan(t4_raw)))\n"
+            "t4 := scan(t4_f0)\n"
+            "output: t4\n");
+
+  auto chain = MakeChainScenario(4);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  EXPECT_EQ(BestPlanText(*chain, 5, /*optimize=*/true),
+            "t1_raw <- mt_R4 <- {} out(#p0:0,#p1:1)\n"
+            "t1_f0 := project[c_4,c_5](rename[#p0->c_4,#p1->c_5](scan(t1_raw)))\n"
+            "t1 := scan(t1_f0)\n"
+            "t2_raw <- mt_R3 <- project[c_4](scan(t1)) out(#p0:0,#p1:1)\n"
+            "t2_f0 := project[c_3,c_4](rename[#p0->c_3,#p1->c_4](scan(t2_raw)))\n"
+            "t2 := scan(t2_f0)\n"
+            "t3_raw <- mt_R2 <- project[c_3](scan(t2)) out(#p0:0,#p1:1)\n"
+            "t3_f0 := project[c_2,c_3](rename[#p0->c_2,#p1->c_3](scan(t3_raw)))\n"
+            "t3 := scan(t3_f0)\n"
+            "t4_raw <- mt_R1 <- project[c_2](scan(t3)) out(#p0:0,#p1:1)\n"
+            "t4_f0 := project[b_1,c_2](rename[#p0->b_1,#p1->c_2](scan(t4_raw)))\n"
+            "t4 := scan(t4_f0)\n"
+            "t5_raw <- mt_R0 <- project[b_1](scan(t4)) out(#p0:0,#p1:1)\n"
+            "t5_f0 := project[a_0,b_1](rename[#p0->a_0,#p1->b_1](scan(t5_raw)))\n"
+            "t5 := scan(t5_f0)\n"
+            "t5_out := project[a_0](scan(t5))\n"
+            "output: t5_out[a_0]\n");
 }
 
 TEST(ProofSearchTest, ChainScenarioNeedsChainLengthPlusOneAccesses) {

@@ -6,8 +6,11 @@
 // The load-bearing test is the randomized differential: on seeded random
 // schemas the default pruning (dominance, sleep sets, the cost bound and
 // the remaining-cost bound) must find the same plan existence and optimal
-// cost as the search with every pruning off. LCP_SEARCH_STRESS_ITERS scales
-// its case count (CI stress/TSan jobs).
+// cost as the search with every pruning off, and every plan either search
+// returns must have the shape the optimizer relies on (no unread command,
+// no repeated access, every access input projected onto its bound
+// attributes). LCP_SEARCH_STRESS_ITERS scales its case count (CI
+// stress/TSan jobs).
 
 #include <gtest/gtest.h>
 
@@ -16,8 +19,10 @@
 #include <cstdlib>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "lcp/accessible/accessible_schema.h"
@@ -152,15 +157,82 @@ RandomCase MakeRandomCase(std::mt19937& rng) {
   return c;
 }
 
+/// What the §4 translation guarantees of every plan it reads off a proof,
+/// and what lets the optimizer leave repeated accesses, unread commands
+/// and over-wide inputs alone (DESIGN.md §11): every command's output
+/// table is read by a later command or is the plan output, no two access
+/// commands are the same access (method, input expression and constant
+/// inputs), and every access input is a projection onto exactly the
+/// attributes it binds.
+void ExpectProofPlanShape(const Plan& plan, const Schema& schema,
+                          const std::string& variant) {
+  std::set<std::string> read_later;
+  for (size_t i = plan.commands.size(); i-- > 0;) {
+    const Command& cmd = plan.commands[i];
+    const std::string& output = OutputTableOf(cmd);
+    EXPECT_TRUE(output == plan.output_table || read_later.count(output) > 0)
+        << variant << ": " << output << " is never read\n"
+        << plan.ToString(schema);
+    const auto* access = std::get_if<AccessCommand>(&cmd);
+    const RaExprPtr& expr =
+        access != nullptr ? access->input : std::get<QueryCommand>(cmd).expr;
+    if (expr != nullptr) {
+      for (const std::string& table : expr->ReferencedTables()) {
+        read_later.insert(table);
+      }
+    }
+  }
+
+  std::set<std::string> accesses;
+  for (const Command& cmd : plan.commands) {
+    const auto* access = std::get_if<AccessCommand>(&cmd);
+    if (access == nullptr) continue;
+    auto constants = access->constant_inputs;
+    std::sort(constants.begin(), constants.end());
+    std::string key = StrCat(access->method, "|",
+                             access->input != nullptr
+                                 ? access->input->ToString()
+                                 : std::string("{}"),
+                             "|");
+    for (const auto& [pos, value] : constants) {
+      key += StrCat(pos, "=", value.ToString(), ";");
+    }
+    EXPECT_TRUE(accesses.insert(key).second)
+        << variant << ": access " << access->output_table
+        << " repeats an earlier one\n"
+        << plan.ToString(schema);
+
+    std::set<std::string> bound;
+    for (const auto& [attr, pos] : access->input_binding) bound.insert(attr);
+    if (access->input == nullptr) {
+      EXPECT_TRUE(bound.empty()) << variant << "\n" << plan.ToString(schema);
+      continue;
+    }
+    const RaExpr& input = *access->input;
+    ASSERT_EQ(input.op(), RaExpr::Op::kProject)
+        << variant << ": input of " << access->output_table << "\n"
+        << plan.ToString(schema);
+    const std::set<std::string> projected(input.attrs().begin(),
+                                          input.attrs().end());
+    EXPECT_EQ(projected.size(), input.attrs().size())
+        << variant << ": input of " << access->output_table << "\n"
+        << plan.ToString(schema);
+    EXPECT_EQ(projected, bound)
+        << variant << ": input of " << access->output_table << "\n"
+        << plan.ToString(schema);
+  }
+}
+
 TEST(SearchPruningTest, DefaultPruningMatchesAllOffSearch) {
   // Dominance, sleep sets, cost pruning and the remaining-cost bound may
   // only skip work: the defaults must find a plan exactly when the search
   // with every pruning off does, at the same optimal cost, with cost
   // pruning and keep_all_plans toggled, under the
   // additive simple cost and the non-additive cardinality cost. Every plan
-  // either search returns must be well-formed and cost exactly what the
-  // search charged for it: the per-access charges the search sums and the
-  // plan read off the proof agree.
+  // either search returns must be well-formed, have the shape of a proof
+  // plan (ExpectProofPlanShape), and cost exactly what the search charged
+  // for it: the per-access charges the search sums and the plan read off
+  // the proof agree.
   const int iters = StressIters(200);
   // The all-off search grows like (candidates)^d; cases that hit this cap
   // are skipped.
@@ -199,6 +271,7 @@ TEST(SearchPruningTest, DefaultPruningMatchesAllOffSearch) {
           EXPECT_EQ(cost->Cost(found->plan), found->cost)
               << variant << "\n"
               << found->plan.ToString(*c.schema);
+          ExpectProofPlanShape(found->plan, *c.schema, variant);
         }
       };
       ProofSearch search(&*accessible, cost);
