@@ -32,6 +32,11 @@ class Value {
   /// Renders the value for debugging: integers bare, strings quoted.
   std::string ToString() const;
 
+  /// Appends an unambiguous encoding of the value to `key`: "i<int>" or
+  /// "s<length>:<bytes>". The length prefix keeps a key well-formed whatever
+  /// bytes a string holds, so keys of different values never collide.
+  void AppendKey(std::string& key) const;
+
   friend bool operator==(const Value& a, const Value& b) {
     return a.rep_ == b.rep_;
   }

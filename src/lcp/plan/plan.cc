@@ -103,15 +103,6 @@ std::string Plan::ToString(const Schema& schema) const {
 
 namespace {
 
-/// Serializes one value unambiguously (type tag + payload length).
-void KeyValue(std::string& key, const Value& v) {
-  if (v.is_int()) {
-    StrAppend(&key, "i", v.AsInt());
-  } else {
-    StrAppend(&key, "s", v.AsString().size(), ":", v.AsString());
-  }
-}
-
 void KeyName(std::string& key, const std::string& name) {
   StrAppend(&key, name.size(), ":", name);
 }
@@ -143,7 +134,7 @@ void KeyExpr(std::string& key, const RaExpr& expr) {
         } else {
           key += "c";
           KeyName(key, c.lhs);
-          KeyValue(key, c.rhs_const);
+          c.rhs_const.AppendKey(key);
         }
       }
       key += "](";
@@ -205,7 +196,7 @@ std::string CommandKey(const Command& cmd) {
               });
     for (const auto& [pos, value] : constants) {
       StrAppend(&key, pos, "=");
-      KeyValue(key, value);
+      value.AppendKey(key);
     }
     key += "|";
     std::vector<std::pair<int, int>> equalities;
@@ -223,7 +214,7 @@ std::string CommandKey(const Command& cmd) {
               });
     for (const auto& [pos, value] : pos_constants) {
       StrAppend(&key, pos, "=");
-      KeyValue(key, value);
+      value.AppendKey(key);
     }
     key += "|";
     // Output columns stay in order: they fix the output table's schema.

@@ -56,7 +56,7 @@ class Canonicalizer {
       const Term& t = atom.terms[i];
       if (i > 0) out += ",";
       if (t.is_constant()) {
-        out += StrCat("c:", t.constant().ToString());
+        t.constant().AppendKey(out);
         continue;
       }
       auto free_it = free_index_.find(t.var());

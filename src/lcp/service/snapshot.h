@@ -43,7 +43,7 @@ namespace lcp {
 /// Entries are admitted under the caller's current serving epoch: a snapshot
 /// load is indistinguishable from the same plans having just been produced
 /// by proof search, so epoch bumps and cost-aware admission behave normally.
-inline constexpr uint8_t kSnapshotVersion = 1;
+inline constexpr uint8_t kSnapshotVersion = 2;
 inline constexpr char kSnapshotMagic[8] = {'L', 'C', 'P', 'S',
                                            'N', 'A', 'P', '\0'};
 

@@ -99,6 +99,22 @@ TEST(CanonicalTest, ConstantsDistinguish) {
   EXPECT_NE(CanonicalizeQuery(a), CanonicalizeQuery(c));
 }
 
+TEST(CanonicalTest, StringConstantsCannotSpellOutOtherAtoms) {
+  // A string constant holding the rendering of an atom boundary must not
+  // make a one-atom query render like a two-atom one: with unescaped
+  // constants both of these rendered as F1;R0(f0,c:"a");R1(c:"b").
+  ConjunctiveQuery one_atom = MakeQuery(
+      {"x"}, {Atom(0, {Term::Var("x"), Term::Const("a\");R1(c:\"b")})});
+  ConjunctiveQuery two_atoms =
+      MakeQuery({"x"}, {Atom(0, {Term::Var("x"), Term::Const("a")}),
+                        Atom(1, {Term::Const("b")})});
+  EXPECT_NE(CanonicalizeQuery(one_atom).key, CanonicalizeQuery(two_atoms).key);
+  // Integer and string constants with the same digits stay apart too.
+  ConjunctiveQuery int_const = MakeQuery({}, {Atom(0, {Term::Const(1)})});
+  ConjunctiveQuery str_const = MakeQuery({}, {Atom(0, {Term::Const("1")})});
+  EXPECT_NE(CanonicalizeQuery(int_const), CanonicalizeQuery(str_const));
+}
+
 TEST(CanonicalTest, DuplicateAtomsCollapse) {
   ConjunctiveQuery once = MakeQuery({}, {Atom(0, {Term::Var("x"), Term::Var("y")})});
   ConjunctiveQuery twice = MakeQuery(

@@ -124,6 +124,47 @@ TEST(ServiceTest, RepeatAndRenamedQueriesHitTheCache) {
   EXPECT_GT(stats.CacheHitRate(), 0.5);
 }
 
+TEST(ServiceTest, StringConstantsDoNotShareAnotherQuerysPlan) {
+  // Q1(x) :- R0(x, "a\");R1(c:\"b") and Q2(x) :- R0(x, "a"), R1("b") are
+  // different queries; once their cache keys collided and Q2 was answered
+  // from Q1's plan (OK, 0 rows) although the oracle has one row.
+  Schema schema;
+  RelationId r0 = schema.AddRelation("R0", 2).value();
+  RelationId r1 = schema.AddRelation("R1", 1).value();
+  schema.AddAccessMethod("mt_r0", r0, {}, 1.0).value();
+  schema.AddAccessMethod("mt_r1", r1, {}, 1.0).value();
+  auto accessible = AccessibleSchema::Build(schema, AccessibleVariant::kStandard);
+  ASSERT_TRUE(accessible.ok()) << accessible.status();
+  SimpleCostFunction cost(&schema);
+  Instance instance(&schema);
+  instance.AddFact(r0, Tuple{Value::Int(1), Value::Str("a")});
+  instance.AddFact(r1, Tuple{Value::Str("b")});
+  QueryService service(
+      &*accessible, &cost,
+      [&] { return std::make_unique<SimulatedSource>(&schema, &instance); },
+      ServiceOptions{});
+
+  QueryRequest first;
+  first.query.name = "Q1";
+  first.query.free_variables = {"x"};
+  first.query.atoms = {
+      Atom(r0, {Term::Var("x"), Term::Const("a\");R1(c:\"b")})};
+  QueryResponse first_response = service.Call(first);
+  ASSERT_TRUE(first_response.status.ok()) << first_response.status;
+  EXPECT_EQ(Rows(first_response), Oracle(first.query, instance));
+
+  QueryRequest second;
+  second.query.name = "Q2";
+  second.query.free_variables = {"x"};
+  second.query.atoms = {Atom(r0, {Term::Var("x"), Term::Const("a")}),
+                        Atom(r1, {Term::Const("b")})};
+  QueryResponse second_response = service.Call(second);
+  ASSERT_TRUE(second_response.status.ok()) << second_response.status;
+  EXPECT_FALSE(second_response.cache_hit);
+  EXPECT_EQ(Rows(second_response), Oracle(second.query, instance));
+  EXPECT_EQ(Rows(second_response).size(), 1u);
+}
+
 TEST(ServiceTest, BumpEpochInvalidatesCachedPlans) {
   ServiceFixture fx = MakeProfinfoFixture();
   QueryService service(fx.accessible.get(), fx.cost.get(), fx.Factory(),
