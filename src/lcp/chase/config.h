@@ -1,7 +1,9 @@
 #ifndef LCP_CHASE_CONFIG_H_
 #define LCP_CHASE_CONFIG_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -16,21 +18,23 @@ namespace lcp {
 /// insertion order preserved (facts are a proof log) and per-relation plus
 /// positional indexes for homomorphism search. Configurations are value
 /// types: search nodes copy them when branching.
+///
+/// Layout (DESIGN.md §8): the terms of all facts live in one contiguous
+/// array, each fact is a (relation, offset, arity) record into it, and the
+/// per-relation index is one array of fact indexes grouped by relation plus
+/// per-relation offsets. Copying a configuration is a few block copies, and
+/// Add allocates only when an array outgrows its capacity.
 class ChaseConfig {
  public:
   ChaseConfig() = default;
   /// Copies transfer the facts but not the positional index: it is lazily
   /// rebuilt (incrementally) on first probe, so branching a search node
-  /// stays as cheap as the fact set itself.
-  ChaseConfig(const ChaseConfig& other)
-      : facts_(other.facts_),
-        slots_(other.slots_),
-        by_relation_(other.by_relation_) {}
+  /// stays as cheap as the fact set itself. The copy reserves room to grow,
+  /// because a copy is usually extended next.
+  ChaseConfig(const ChaseConfig& other) { CopyFacts(other); }
   ChaseConfig& operator=(const ChaseConfig& other) {
     if (this != &other) {
-      facts_ = other.facts_;
-      slots_ = other.slots_;
-      by_relation_ = other.by_relation_;
+      CopyFacts(other);
       by_position_.clear();
       terms_at_.clear();
       indexed_up_to_ = 0;
@@ -40,34 +44,83 @@ class ChaseConfig {
   ChaseConfig(ChaseConfig&&) = default;
   ChaseConfig& operator=(ChaseConfig&&) = default;
 
-  /// Adds a fact; returns true if it was new.
-  bool Add(const Fact& fact);
-  bool Contains(const Fact& fact) const {
-    return Contains(fact.relation, fact.terms);
-  }
-  /// Contains(Fact(relation, terms)) without building the fact.
-  bool Contains(RelationId relation,
-                const std::vector<ChaseTermId>& terms) const {
+  /// Adds a fact; returns true if it was new. `fact` may view this
+  /// configuration's own facts (say, a fact read with fact(i) under another
+  /// relation): its terms are read before anything moves.
+  bool Add(FactRef fact);
+  bool Contains(FactRef fact) const {
     return !slots_.empty() &&
-           slots_[SlotOf(relation, terms,
-                         FactHash::Hash(relation, terms))] >= 0;
+           slots_[SlotOf(fact, FactHash::Hash(fact.relation, fact.terms))] >=
+               0;
   }
 
-  size_t size() const { return facts_.size(); }
-  const std::vector<Fact>& facts() const { return facts_; }
+  size_t size() const { return records_.size(); }
 
-  /// Indexes into facts() of the facts over `relation`, ascending.
-  const std::vector<int>& FactsOf(RelationId relation) const {
+  /// The i-th fact in insertion order. The view stays valid until this
+  /// configuration is next modified.
+  FactRef fact(size_t i) const {
+    const Record& r = records_[i];
+    return FactRef{r.relation, std::span<const ChaseTermId>(
+                                   terms_.data() + r.offset, r.arity)};
+  }
+
+  /// All facts in insertion order, as views (see fact()).
+  class FactRange {
+   public:
+    class Iterator {
+     public:
+      using value_type = FactRef;
+      using difference_type = std::ptrdiff_t;
+      Iterator() = default;
+      Iterator(const ChaseConfig* config, size_t index)
+          : config_(config), index_(index) {}
+      FactRef operator*() const { return config_->fact(index_); }
+      Iterator& operator++() {
+        ++index_;
+        return *this;
+      }
+      Iterator operator++(int) {
+        Iterator before = *this;
+        ++index_;
+        return before;
+      }
+      friend bool operator==(const Iterator& a, const Iterator& b) {
+        return a.index_ == b.index_;
+      }
+
+     private:
+      const ChaseConfig* config_ = nullptr;
+      size_t index_ = 0;
+    };
+
+    explicit FactRange(const ChaseConfig* config) : config_(config) {}
+    size_t size() const { return config_->size(); }
+    bool empty() const { return config_->size() == 0; }
+    FactRef operator[](size_t i) const { return config_->fact(i); }
+    Iterator begin() const { return Iterator(config_, 0); }
+    Iterator end() const { return Iterator(config_, config_->size()); }
+
+   private:
+    const ChaseConfig* config_;
+  };
+  FactRange facts() const { return FactRange(this); }
+
+  /// Indexes into facts() of the facts over `relation`, ascending. Valid
+  /// until the next Add.
+  std::span<const int> FactsOf(RelationId relation) const {
     const size_t r = static_cast<size_t>(relation);
-    return r < by_relation_.size() ? by_relation_[r] : kNoFacts;
+    if (r + 1 >= relation_begin_.size()) return {};
+    return std::span<const int>(relation_facts_.data() + relation_begin_[r],
+                                relation_begin_[r + 1] - relation_begin_[r]);
   }
 
   /// Indexes into facts() of the facts over `relation` whose term at
   /// `position` equals `term`, ascending. A single hash probe into the
   /// positional index (catching it up with recent Adds first); the matcher
-  /// seeds unification from the smallest such candidate list.
-  const std::vector<int>& FactsWith(RelationId relation, int position,
-                                    ChaseTermId term) const;
+  /// seeds unification from the smallest such candidate list. Valid until
+  /// the next Add.
+  std::span<const int> FactsWith(RelationId relation, int position,
+                                 ChaseTermId term) const;
 
   /// All distinct terms occurring in facts over `relation` at `position`,
   /// in first-occurrence order. An index read; O(1) plus the result size.
@@ -82,6 +135,13 @@ class ChaseConfig {
   std::string ToString(const Schema& schema, const TermArena& arena) const;
 
  private:
+  /// One fact: its relation and where its terms sit in terms_.
+  struct Record {
+    RelationId relation;
+    int32_t offset;
+    int32_t arity;
+  };
+
   /// Key of the positional index: one bucket per (relation, position, term)
   /// triple that occurs in the configuration.
   struct PosTermKey {
@@ -120,35 +180,38 @@ class ChaseConfig {
     }
   };
 
-  /// The slot of `slots_` holding the fact (relation, terms), or the empty
-  /// slot where it would go. Requires a non-empty table.
-  size_t SlotOf(RelationId relation, const std::vector<ChaseTermId>& terms,
-                size_t hash) const {
+  /// The slot of `slots_` holding `fact`, or the empty slot where it would
+  /// go. Requires a non-empty table.
+  size_t SlotOf(FactRef fact, size_t hash) const {
     const size_t mask = slots_.size() - 1;
     for (size_t i = hash & mask;; i = (i + 1) & mask) {
       const int32_t index = slots_[i];
       if (index < 0) return i;
-      const Fact& fact = facts_[index];
-      if (fact.relation == relation && fact.terms == terms) return i;
+      if (this->fact(index) == fact) return i;
     }
   }
   /// Doubles `slots_` (at least 16 slots) and re-inserts every fact.
   void GrowSlots();
+  /// Copies every array but the positional index, reserving headroom.
+  void CopyFacts(const ChaseConfig& other);
 
   /// Brings the positional index up to date: indexes facts
-  /// [indexed_up_to_, facts_.size()).
+  /// [indexed_up_to_, size()).
   void EnsureIndexed() const;
 
-  static inline const std::vector<int> kNoFacts;
-
-  std::vector<Fact> facts_;
-  /// Duplicate filter: an open-addressing hash set of indexes into facts_
-  /// (-1 = empty), a power of two in size and at most half full, so copying
-  /// a configuration copies it in one block.
+  /// The terms of every fact, fact after fact.
+  std::vector<ChaseTermId> terms_;
+  /// One record per fact, in insertion order.
+  std::vector<Record> records_;
+  /// Duplicate filter: an open-addressing hash set of indexes into records_
+  /// (-1 = empty), a power of two in size and at most half full.
   std::vector<int32_t> slots_;
-  /// Indexed by relation id; grown on demand by Add.
-  std::vector<std::vector<int>> by_relation_;
-  /// Positional index, built lazily: facts_[0, indexed_up_to_) are indexed.
+  /// Fact indexes grouped by relation, ascending within each group; the
+  /// group of relation r is [relation_begin_[r], relation_begin_[r + 1]).
+  /// relation_begin_ grows on demand by Add.
+  std::vector<int> relation_facts_;
+  std::vector<int> relation_begin_;
+  /// Positional index, built lazily: facts [0, indexed_up_to_) are indexed.
   /// Mutable so that const probes can catch up after Adds and copies.
   mutable std::unordered_map<PosTermKey, std::vector<int>, PosTermKeyHash>
       by_position_;

@@ -68,7 +68,7 @@ uint64_t BagSignature(const CompiledTgd& tgd,
   };
   std::unordered_map<ChaseTermId, uint64_t> canon;
   std::vector<uint64_t> fact_hashes;
-  for (const Fact& fact : config.facts()) {
+  for (const FactRef fact : config.facts()) {
     bool local = true;
     for (ChaseTermId t : fact.terms) {
       if (!in_bag(t)) {
@@ -102,24 +102,31 @@ struct Trigger {
   std::vector<ChaseTermId> assignment;
 };
 
+/// `atom`'s terms under `assignment`, written into `terms`.
+FactRef Instantiate(const PatternAtom& atom,
+                    const std::vector<ChaseTermId>& assignment,
+                    std::vector<ChaseTermId>& terms) {
+  terms.clear();
+  for (const auto& slot : atom.slots) {
+    terms.push_back(slot.is_variable ? assignment[slot.var_index] : slot.term);
+  }
+  return FactRef{atom.relation, terms};
+}
+
 /// Restricted-chase witness check: true if the head already holds under
 /// `assignment`. With no existential variables the head is fully ground, so
-/// each head fact is a single hash lookup; otherwise the existential
-/// positions are left free and the matcher searches for a witness.
+/// each head fact is a single hash lookup (its terms built in `scratch`);
+/// otherwise the existential positions are left free and the matcher
+/// searches for a witness.
 bool HeadWitnessed(const CompiledTgd& tgd,
                    const std::vector<ChaseTermId>& assignment,
-                   const ChaseConfig& config, MatchStats* stats) {
+                   const ChaseConfig& config, MatchStats* stats,
+                   std::vector<ChaseTermId>& scratch) {
   if (tgd.existential_vars.empty()) {
-    Fact fact;
     for (const PatternAtom& atom : tgd.head) {
-      fact.relation = atom.relation;
-      fact.terms.clear();
-      fact.terms.reserve(atom.slots.size());
-      for (const auto& slot : atom.slots) {
-        fact.terms.push_back(slot.is_variable ? assignment[slot.var_index]
-                                              : slot.term);
+      if (!config.Contains(Instantiate(atom, assignment, scratch))) {
+        return false;
       }
-      if (!config.Contains(fact)) return false;
     }
     return true;
   }
@@ -154,11 +161,12 @@ Result<ChaseStats> ChaseEngine::Run(const std::vector<CompiledTgd>& tgds,
   std::vector<Trigger> triggers;
   std::vector<ChaseTermId> assignment;
   std::vector<FactWindow> windows;
+  std::vector<ChaseTermId> head_terms;
   const std::function<bool(const std::vector<ChaseTermId>&)> collect =
       [&](const std::vector<ChaseTermId>& full) {
         ++stats.triggers_enumerated;
         // Restricted chase: skip if the head already has a witness.
-        if (HeadWitnessed(tgds[t], full, config, &match_stats)) {
+        if (HeadWitnessed(tgds[t], full, config, &match_stats, head_terms)) {
           ++stats.witness_skips;
         } else {
           triggers.push_back(Trigger{static_cast<int>(t), full});
@@ -217,7 +225,8 @@ Result<ChaseStats> ChaseEngine::Run(const std::vector<CompiledTgd>& tgds,
       }
       for (Trigger& trigger : triggers) {
         // Re-check: an earlier firing in this round may have satisfied it.
-        if (HeadWitnessed(tgd, trigger.assignment, config, &match_stats)) {
+        if (HeadWitnessed(tgd, trigger.assignment, config, &match_stats,
+                          head_terms)) {
           ++stats.witness_skips;
           continue;
         }
@@ -271,15 +280,9 @@ Result<ChaseStats> ChaseEngine::Run(const std::vector<CompiledTgd>& tgds,
         }
         ++stats.firings;
         for (const PatternAtom& atom : tgd.head) {
-          Fact fact;
-          fact.relation = atom.relation;
-          fact.terms.reserve(atom.slots.size());
-          for (const auto& slot : atom.slots) {
-            fact.terms.push_back(slot.is_variable
-                                     ? trigger.assignment[slot.var_index]
-                                     : slot.term);
+          if (config.Add(Instantiate(atom, trigger.assignment, head_terms))) {
+            ++stats.facts_added;
           }
-          if (config.Add(fact)) ++stats.facts_added;
         }
         progress = true;
       }

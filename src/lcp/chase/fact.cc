@@ -4,7 +4,7 @@
 
 namespace lcp {
 
-std::string FactToString(const Fact& fact, const Schema& schema,
+std::string FactToString(FactRef fact, const Schema& schema,
                          const TermArena& arena) {
   std::ostringstream os;
   os << schema.relation(fact.relation).name << "(";

@@ -55,22 +55,22 @@ CandidateSpan BestCandidates(const PatternAtom& atom, int atom_index,
                              const ChaseConfig& config,
                              const std::vector<ChaseTermId>& assignment,
                              const MatchOptions& options) {
-  const std::vector<int>* list = &config.FactsOf(atom.relation);
+  std::span<const int> list = config.FactsOf(atom.relation);
   // Small extensions are cheaper to scan than to index-probe (and probing
   // would force lazy index maintenance on small, copy-heavy configs).
-  if (list->size() > ChaseConfig::kIndexProbeThreshold) {
-    for (size_t s = 0; s < atom.slots.size() && !list->empty(); ++s) {
+  if (list.size() > ChaseConfig::kIndexProbeThreshold) {
+    for (size_t s = 0; s < atom.slots.size() && !list.empty(); ++s) {
       const auto& slot = atom.slots[s];
       ChaseTermId bound =
           slot.is_variable ? assignment[slot.var_index] : slot.term;
       if (bound == kUnboundTerm) continue;
-      const std::vector<int>& bucket =
+      std::span<const int> bucket =
           config.FactsWith(atom.relation, static_cast<int>(s), bound);
       if (options.stats != nullptr) ++options.stats->index_probes;
-      if (bucket.size() < list->size()) list = &bucket;
+      if (bucket.size() < list.size()) list = bucket;
     }
   }
-  CandidateSpan span{list->data(), list->data() + list->size()};
+  CandidateSpan span{list.data(), list.data() + list.size()};
   if (options.windows != nullptr) {
     const FactWindow& window = options.windows[atom_index];
     span.begin = std::lower_bound(span.begin, span.end, window.begin);
@@ -116,7 +116,7 @@ bool MatchRecursive(MatchState& st, size_t remaining) {
   bool keep_going = true;
   const size_t mark = st.trail.size();
   for (const int* it = best_span.begin; it != best_span.end; ++it) {
-    const Fact& fact = st.config.facts()[*it];
+    const FactRef fact = st.config.fact(*it);
     if (st.options.stats != nullptr) ++st.options.stats->candidates_scanned;
     // Try to unify `fact` with `atom` under the current assignment.
     bool consistent = true;

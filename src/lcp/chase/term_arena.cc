@@ -2,10 +2,21 @@
 
 namespace lcp {
 
+TermArena::TermArena(const TermArena* base)
+    : base_(base),
+      base_constants_(base->base_constants_ + base->constants_.size()) {
+  LCP_CHECK(base->num_nulls() == 0) << "a base arena holds constants only";
+}
+
 ChaseTermId TermArena::InternConstant(const Value& value) {
+  for (const TermArena* arena = base_; arena != nullptr; arena = arena->base_) {
+    auto it = arena->constant_ids_.find(value);
+    if (it != arena->constant_ids_.end()) return it->second;
+  }
   auto it = constant_ids_.find(value);
   if (it != constant_ids_.end()) return it->second;
-  ChaseTermId id = -1 - static_cast<ChaseTermId>(constants_.size());
+  ChaseTermId id =
+      -1 - static_cast<ChaseTermId>(base_constants_ + constants_.size());
   constants_.push_back(value);
   constant_ids_.emplace(value, id);
   return id;

@@ -26,9 +26,19 @@ inline constexpr ChaseTermId kUnboundTerm =
 /// Owns the labeled nulls and interned constants used by chase
 /// configurations. One arena is shared by all configurations of a proof
 /// search, so term ids are stable across the search tree.
+///
+/// An arena may layer over a read-only base arena that holds only constants
+/// (say, those of TGDs compiled once and shared by many searches): the
+/// base's constants keep their ids, InternConstant finds a value in the base
+/// before interning it here, and ids of this arena's own constants follow
+/// the base's. Nulls are always this arena's own.
 class TermArena {
  public:
   TermArena() = default;
+  /// Layers over `base`, which must outlive this arena, hold no nulls and
+  /// not change while this arena lives. Reads of `base` are const, so many
+  /// arenas may layer over one base from different threads.
+  explicit TermArena(const TermArena* base);
   TermArena(const TermArena&) = delete;
   TermArena& operator=(const TermArena&) = delete;
 
@@ -48,7 +58,9 @@ class TermArena {
 
   const Value& ConstantOf(ChaseTermId id) const {
     LCP_CHECK(IsConstant(id));
-    return constants_[static_cast<size_t>(-1 - id)];
+    const size_t k = static_cast<size_t>(-1 - id);
+    return k < base_constants_ ? base_->ConstantOf(id)
+                               : constants_[k - base_constants_];
   }
 
   int DepthOf(ChaseTermId id) const {
@@ -68,6 +80,9 @@ class TermArena {
     int depth = 0;
   };
 
+  /// The arena this one layers over (null if none) and its constant count.
+  const TermArena* base_ = nullptr;
+  size_t base_constants_ = 0;
   std::vector<NullInfo> nulls_;
   /// A deque keeps the references ConstantOf hands out valid as constants
   /// are interned.

@@ -16,7 +16,7 @@ namespace {
 size_t StateFingerprint(const ChaseConfig& config) {
   size_t combined = 0;
   FactHash hasher;
-  for (const Fact& fact : config.facts()) {
+  for (const FactRef fact : config.facts()) {
     combined ^= hasher(fact) * 0x9e3779b97f4a7c15ULL + 1;
   }
   return combined;
@@ -37,11 +37,12 @@ class NegSearcher {
     ChaseConfig config = std::move(canonical.config);
 
     // Root closure with the original constraints.
-    LCP_ASSIGN_OR_RETURN(
-        ChaseStats root_stats,
-        engine_.Run(acc_.original_constraints(), options_.closure_chase,
-                    config));
-    (void)root_stats;
+    for (const Tgd& tgd : acc_.original_constraints()) {
+      compiled_original_.push_back(CompileTgd(tgd, arena_));
+    }
+    LCP_RETURN_IF_ERROR(
+        engine_.Run(compiled_original_, options_.closure_chase, config)
+            .status());
 
     std::unordered_set<ChaseTermId> accessible;
     for (const Value& c : acc_.base().constants()) {
@@ -62,9 +63,6 @@ class NegSearcher {
 
     for (const Tgd& tgd : acc_.inferred_constraints()) {
       compiled_inferred_.push_back(CompileTgd(tgd, arena_));
-    }
-    for (const Tgd& tgd : acc_.original_constraints()) {
-      compiled_original_.push_back(CompileTgd(tgd, arena_));
     }
 
     std::vector<NegProofStep> steps;
@@ -93,7 +91,7 @@ class NegSearcher {
                       std::unordered_set<ChaseTermId>& accessible,
                       ChaseTermId term) {
     if (accessible.insert(term).second) {
-      config.Add(Fact(acc_.accessible_relation(), {term}));
+      config.Add(FactRef{acc_.accessible_relation(), {&term, 1}});
     }
   }
 
@@ -124,10 +122,11 @@ class NegSearcher {
       Fact fact;
     };
     std::vector<Move> moves;
-    for (const Fact& fact : config.facts()) {
+    for (const FactRef fact : config.facts()) {
       AccessibleRelationKind kind = acc_.KindOf(fact.relation);
       if (kind == AccessibleRelationKind::kBase) {
-        if (config.Contains(Fact(acc_.AccessedOf(fact.relation), fact.terms))) {
+        if (config.Contains(
+                FactRef{acc_.AccessedOf(fact.relation), fact.terms})) {
           continue;
         }
         for (AccessMethodId m : acc_.base().MethodsOnRelation(fact.relation)) {
@@ -136,12 +135,12 @@ class NegSearcher {
           for (int pos : method.input_positions) {
             if (accessible.count(fact.terms[pos]) == 0) fireable = false;
           }
-          if (fireable) moves.push_back(Move{false, m, fact});
+          if (fireable) moves.push_back(Move{false, m, Fact(fact)});
         }
       } else if (kind == AccessibleRelationKind::kInferred) {
         RelationId base_rel = acc_.BaseOf(fact.relation);
         if (acc_.base().MethodsOnRelation(base_rel).empty()) continue;
-        Fact base_fact(base_rel, fact.terms);
+        Fact base_fact(FactRef{base_rel, fact.terms});
         if (config.Contains(base_fact)) continue;
         if (acc_.variant() == AccessibleVariant::kNegative) {
           // AcSch¬ (Theorem 3): the negative axiom needs *every* position
@@ -175,8 +174,8 @@ class NegSearcher {
     for (const Move& move : moves) {
       ChaseConfig child = config;
       std::unordered_set<ChaseTermId> child_accessible = accessible;
-      child.Add(Fact(acc_.AccessedOf(move.fact.relation), move.fact.terms));
-      child.Add(Fact(acc_.InferredOf(move.fact.relation), move.fact.terms));
+      child.Add(FactRef{acc_.AccessedOf(move.fact.relation), move.fact.terms});
+      child.Add(FactRef{acc_.InferredOf(move.fact.relation), move.fact.terms});
       for (ChaseTermId t : move.fact.terms) {
         MarkAccessible(child, child_accessible, t);
       }

@@ -31,9 +31,11 @@ using search_internal::SearchNode;
 /// exploration log are deterministic.
 class SearchDriver {
  public:
-  SearchDriver(const AccessibleSchema& acc, const CostFunction& cost,
-               const ConjunctiveQuery& query, const SearchOptions& options)
-      : core_(acc, cost, query, options), options_(options) {}
+  SearchDriver(const AccessibleSchema& acc,
+               const search_internal::CompiledConstraints& compiled,
+               const CostFunction& cost, const ConjunctiveQuery& query,
+               const SearchOptions& options)
+      : core_(acc, compiled, cost, query, options), options_(options) {}
 
   Result<SearchOutcome> Run() {
     Budget* budget = options_.budget;
@@ -173,6 +175,8 @@ ProofSearch::ProofSearch(const AccessibleSchema* accessible,
                          const CostFunction* cost)
     : accessible_(accessible), cost_(cost) {
   LCP_CHECK(accessible != nullptr && cost != nullptr);
+  compiled_ =
+      std::make_shared<const search_internal::CompiledConstraints>(*accessible);
 }
 
 Result<SearchOutcome> ProofSearch::Run(const ConjunctiveQuery& query,
@@ -184,7 +188,7 @@ Result<SearchOutcome> ProofSearch::Run(const ConjunctiveQuery& query,
         "accessible schema with AccessibleVariant::kStandard");
   }
   Result<SearchOutcome> result =
-      SearchDriver(*accessible_, *cost_, query, options).Run();
+      SearchDriver(*accessible_, *compiled_, *cost_, query, options).Run();
   if (!result.ok() || !options.optimize_plans) return result;
 
   // Post-search optimization (DESIGN.md §11). Optimizer failures are never

@@ -1,6 +1,7 @@
 #ifndef LCP_PLANNER_PROOF_SEARCH_H_
 #define LCP_PLANNER_PROOF_SEARCH_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,6 +15,10 @@
 #include "lcp/plan/plan.h"
 
 namespace lcp {
+
+namespace search_internal {
+struct CompiledConstraints;
+}  // namespace search_internal
 
 /// Candidate-selection policy (§5, "Search order"): which candidate fact /
 /// method pair to expose first at a node.
@@ -144,22 +149,26 @@ struct SearchOutcome {
 class ProofSearch {
  public:
   /// `accessible` and `cost` must outlive the search. The cost function must
-  /// be monotone if prune_by_cost is enabled.
+  /// be monotone if prune_by_cost is enabled. Compiles the accessible
+  /// schema's original and inferred-accessible constraints once, for every
+  /// Run; its constraints must not change afterwards (its base schema's
+  /// constants may).
   ProofSearch(const AccessibleSchema* accessible, const CostFunction* cost);
 
   /// Runs the search for `query` (a CQ over the base schema) on the calling
   /// thread. Const and re-entrant: all search state (term arena, chase
-  /// engine, node store) lives in a per-call context, so one ProofSearch may
-  /// serve concurrent Run calls from multiple threads (the QueryService
-  /// worker pool relies on this), provided the accessible schema and cost
-  /// function are not mutated meanwhile. A Budget passed via `options`
-  /// belongs to one call at a time.
+  /// engine, node store) lives in a per-call context, and the compiled
+  /// constraints are only read, so one ProofSearch may serve concurrent Run
+  /// calls from multiple threads (the QueryService worker pool relies on
+  /// this), provided the accessible schema and cost function are not mutated
+  /// meanwhile. A Budget passed via `options` belongs to one call at a time.
   Result<SearchOutcome> Run(const ConjunctiveQuery& query,
                             const SearchOptions& options) const;
 
  private:
   const AccessibleSchema* accessible_;
   const CostFunction* cost_;
+  std::shared_ptr<const search_internal::CompiledConstraints> compiled_;
 };
 
 /// Convenience wrapper: returns a (not necessarily optimal) plan for the

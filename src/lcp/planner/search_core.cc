@@ -10,10 +10,22 @@
 namespace lcp {
 namespace search_internal {
 
-SearchCore::SearchCore(const AccessibleSchema& acc, const CostFunction& cost,
+CompiledConstraints::CompiledConstraints(const AccessibleSchema& acc) {
+  for (const Tgd& tgd : acc.original_constraints()) {
+    original.push_back(CompileTgd(tgd, constants));
+  }
+  for (const Tgd& tgd : acc.inferred_constraints()) {
+    inferred.push_back(CompileTgd(tgd, constants));
+  }
+}
+
+SearchCore::SearchCore(const AccessibleSchema& acc,
+                       const CompiledConstraints& compiled,
+                       const CostFunction& cost,
                        const ConjunctiveQuery& query,
                        const SearchOptions& options)
     : acc_(acc),
+      compiled_(compiled),
       cost_(cost),
       query_(query),
       options_(options),
@@ -21,7 +33,8 @@ SearchCore::SearchCore(const AccessibleSchema& acc, const CostFunction& cost,
       closure_chase_(options.closure_chase),
       additive_(cost.IsAdditive()),
       prune_by_dominance_(options.prune_by_dominance && additive_),
-      bound_by_remaining_cost_(options.prune_by_cost && additive_) {
+      bound_by_remaining_cost_(options.prune_by_cost && additive_),
+      arena_(&compiled.constants) {
   // One budget bounds the whole episode: the search loop and every chase
   // closure it runs poll the same deadline and cancel token.
   root_chase_.budget = options.budget;
@@ -38,7 +51,7 @@ Result<SearchNode> SearchCore::InitRoot(ChaseEngine& engine,
   root.config = std::move(canonical.config);
   LCP_ASSIGN_OR_RETURN(
       ChaseStats root_stats,
-      engine.Run(acc_.original_constraints(), root_chase_, root.config));
+      engine.Run(compiled_.original, root_chase_, root.config));
   stats.root_chase_firings = root_stats.firings;
 
   // Schema constants (and by our convention, the query's constants) are
@@ -64,8 +77,8 @@ Result<SearchNode> SearchCore::InitRoot(ChaseEngine& engine,
   for (AccessMethodId m : options_.excluded_methods) {
     if (m >= 0 && static_cast<size_t>(m) < excluded.size()) excluded[m] = 1;
   }
-  for (int i = 0; i < static_cast<int>(root.config.facts().size()); ++i) {
-    const Fact& fact = root.config.facts()[i];
+  for (int i = 0; i < static_cast<int>(root.config.size()); ++i) {
+    const FactRef fact = root.config.fact(i);
     if (acc_.KindOf(fact.relation) != AccessibleRelationKind::kBase) continue;
     for (AccessMethodId m : acc_.base().MethodsOnRelation(fact.relation)) {
       if (excluded[m]) continue;
@@ -127,12 +140,6 @@ Result<SearchNode> SearchCore::InitRoot(ChaseEngine& engine,
   for (int i = 0; i < max_arity; ++i) {
     position_columns_.push_back(StrCat("#p", i));
   }
-
-  // Compile the inferred-accessible copies of the constraints once.
-  for (const Tgd& tgd : acc_.inferred_constraints()) {
-    compiled_inferred_.push_back(CompileTgd(tgd, arena_));
-  }
-
   return root;
 }
 
@@ -141,7 +148,7 @@ void SearchCore::MarkAccessible(SearchNode& node, ChaseTermId term) const {
   auto it = std::lower_bound(terms.begin(), terms.end(), term);
   if (it != terms.end() && *it == term) return;
   terms.insert(it, term);
-  node.config.Add(Fact(acc_.accessible_relation(), {term}));
+  node.config.Add(FactRef{acc_.accessible_relation(), {&term, 1}});
 }
 
 int SearchCore::NextCandidate(SearchNode& node) const {
@@ -157,7 +164,7 @@ int SearchCore::NextCandidate(SearchNode& node) const {
 bool SearchCore::CandidateFireable(const SearchNode& node,
                                    const Candidate& cand) const {
   // Callers filter node.removed; here we check the semantic conditions.
-  const Fact& fact = node.config.facts()[cand.fact_index];
+  const FactRef fact = node.config.fact(cand.fact_index);
   if (IsAccessed(node.config, fact)) return false;
   const AccessMethod& method = acc_.base().access_method(cand.method);
   for (int pos : method.input_positions) {
@@ -181,25 +188,24 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
   const Candidate& cand = all_candidates_[cand_index];
   // The parent's configuration is not modified below, so its facts are
   // read in place.
-  const std::vector<Fact>& parent_facts = parent.config.facts();
-  const Fact& exposed = parent_facts[cand.fact_index];
+  const FactRef exposed = parent.config.fact(cand.fact_index);
   const AccessMethod& method = acc_.base().access_method(cand.method);
 
   // Facts induced by firing: all base facts over the same relation agreeing
   // with the exposed fact on the method's input positions, not yet accessed.
   // Seed the scan from the most selective positional-index bucket over the
   // method's input positions instead of the full relation extension.
-  const std::vector<int>* candidates = &parent.config.FactsOf(exposed.relation);
-  if (candidates->size() > ChaseConfig::kIndexProbeThreshold) {
+  std::span<const int> candidates = parent.config.FactsOf(exposed.relation);
+  if (candidates.size() > ChaseConfig::kIndexProbeThreshold) {
     for (int pos : method.input_positions) {
-      const std::vector<int>& bucket =
+      std::span<const int> bucket =
           parent.config.FactsWith(exposed.relation, pos, exposed.terms[pos]);
-      if (bucket.size() < candidates->size()) candidates = &bucket;
+      if (bucket.size() < candidates.size()) candidates = bucket;
     }
   }
   std::vector<int> induced;
-  for (int idx : *candidates) {
-    const Fact& d = parent_facts[idx];
+  for (int idx : candidates) {
+    const FactRef d = parent.config.fact(idx);
     bool agrees = true;
     for (int pos : method.input_positions) {
       if (d.terms[pos] != exposed.terms[pos]) {
@@ -215,7 +221,7 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
   // any of the induced facts.
   for (int i = 0; i < static_cast<int>(all_candidates_.size()); ++i) {
     if (all_candidates_[i].method != cand.method) continue;
-    const Fact& d = parent_facts[all_candidates_[i].fact_index];
+    const FactRef d = parent.config.fact(all_candidates_[i].fact_index);
     if (d.relation != exposed.relation) continue;
     bool agrees = true;
     for (int pos : method.input_positions) {
@@ -243,16 +249,16 @@ Result<SearchNode> SearchCore::BuildChild(SearchNode& parent, int cand_index,
 
   // --- configuration update ----------------------------------------------
   for (int idx : induced) {
-    const Fact& d = parent_facts[idx];
-    child.config.Add(AccessedFact(d));
-    child.config.Add(Fact(acc_.InferredOf(d.relation), d.terms));
+    const FactRef d = parent.config.fact(idx);
+    child.config.Add(FactRef{acc_.AccessedOf(d.relation), d.terms});
+    child.config.Add(FactRef{acc_.InferredOf(d.relation), d.terms});
     for (ChaseTermId t : d.terms) MarkAccessible(child, t);
   }
   // "Fire Inferred Accessible Rules Immediately": close under the
   // InferredAcc copies of the integrity constraints.
   LCP_ASSIGN_OR_RETURN(
       ChaseStats closure_stats,
-      engine.Run(compiled_inferred_, closure_chase_, child.config));
+      engine.Run(compiled_.inferred, closure_chase_, child.config));
   stats.closure_firings += closure_stats.firings;
 
   // --- proof and cost --------------------------------------------------------
@@ -285,13 +291,12 @@ Plan SearchCore::ReadPlan(const SearchNode& node) const {
   }
   // Base facts keep their root indexes in every descendant, so the node's
   // own configuration holds every fact the proof names.
-  const std::vector<Fact>& facts = node.config.facts();
   Plan plan;
   std::string table;  // The running table; empty before any access.
   for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
     const ProofStep& step = **it;
     const Candidate& cand = all_candidates_[step.candidate];
-    const Fact& exposed = facts[cand.fact_index];
+    const FactRef exposed = node.config.fact(cand.fact_index);
     const AccessMethod& method = acc_.base().access_method(cand.method);
     const Relation& rel = acc_.base().relation(exposed.relation);
 
@@ -326,7 +331,7 @@ Plan SearchCore::ReadPlan(const SearchNode& node) const {
     // One derived table per induced fact, then one join command.
     std::vector<std::string> fact_tables;
     for (size_t fi = 0; fi < step.induced.size(); ++fi) {
-      const Fact& d = facts[step.induced[fi]];
+      const FactRef d = node.config.fact(step.induced[fi]);
       RaExprPtr expr = RaExpr::TempScan(raw);
       std::vector<RaExpr::Condition> conds;
       std::vector<std::pair<std::string, std::string>> renames;
@@ -397,7 +402,7 @@ FoundPlan SearchCore::MakeFoundPlan(const SearchNode& node) const {
 
 DominanceSignature SearchCore::SignatureOf(const ChaseConfig& config) const {
   DominanceSignature signature;
-  for (const Fact& fact : config.facts()) {
+  for (const FactRef fact : config.facts()) {
     AccessibleRelationKind kind = acc_.KindOf(fact.relation);
     if (kind == AccessibleRelationKind::kBase ||
         kind == AccessibleRelationKind::kAccessed) {
@@ -423,7 +428,7 @@ const DominanceProbe& SearchCore::MakeDominanceProbe(
   DominanceProbe& probe = scratch.probe;
   probe.num_vars = 0;
   size_t atoms = 0;
-  for (const Fact& fact : config.facts()) {
+  for (const FactRef fact : config.facts()) {
     if (acc_.KindOf(fact.relation) == AccessibleRelationKind::kAccessed) {
       continue;
     }
@@ -445,7 +450,7 @@ const DominanceProbe& SearchCore::MakeDominanceProbe(
   }
   probe.pattern.resize(atoms);
   // Hand the table back clean.
-  for (const Fact& fact : config.facts()) {
+  for (const FactRef fact : config.facts()) {
     for (ChaseTermId t : fact.terms) {
       if (TermArena::IsNull(t) && static_cast<size_t>(t) < var_of.size()) {
         var_of[t] = -1;
@@ -463,7 +468,7 @@ std::string SearchCore::LogLine(const SearchNode& node,
     const Candidate& cand = all_candidates_[node.proof->candidate];
     label = StrCat(
         "expose ",
-        FactToString(node.config.facts()[cand.fact_index], acc_.schema(),
+        FactToString(node.config.fact(cand.fact_index), acc_.schema(),
                      arena_),
         " via ", acc_.base().access_method(cand.method).name);
   }

@@ -21,6 +21,25 @@
 namespace lcp {
 namespace search_internal {
 
+/// What every search of one ProofSearch shares, read-only (DESIGN.md §8):
+/// the original constraints and their inferred-accessible copies, compiled
+/// once against `constants`, a base arena holding their constants that each
+/// search's arena layers over. Everything else a search needs stays per
+/// search: the schema's constants (the schema may be edited in place),
+/// the method charges (priced through the cost function), the candidate
+/// list and the exclusion mask (they depend on the query and the options).
+struct CompiledConstraints {
+  /// `acc` must outlive the result, and its constraints must not change.
+  explicit CompiledConstraints(const AccessibleSchema& acc);
+
+  TermArena constants;
+  /// For the root closure ("Original Schema Reasoning First").
+  std::vector<CompiledTgd> original;
+  /// For the per-node closures ("Fire Inferred Accessible Rules
+  /// Immediately").
+  std::vector<CompiledTgd> inferred;
+};
+
 /// A (fact, method) pair that could be exposed by firing an accessibility
 /// axiom (§5, "candidate for exposure"). Facts are identified by their index
 /// in the root configuration (base facts never grow after the root closure,
@@ -79,15 +98,18 @@ struct SearchNode {
 /// and node bookkeeping stay in the driver.
 class SearchCore {
  public:
-  SearchCore(const AccessibleSchema& acc, const CostFunction& cost,
-             const ConjunctiveQuery& query, const SearchOptions& options);
+  /// `compiled` must be compiled from `acc`; the search's arena layers over
+  /// its constants.
+  SearchCore(const AccessibleSchema& acc, const CompiledConstraints& compiled,
+             const CostFunction& cost, const ConjunctiveQuery& query,
+             const SearchOptions& options);
 
   /// Builds the root node: canonical database of the query, root closure
-  /// under the original constraints, schema/query constants marked
+  /// under the compiled original constraints, schema/query constants marked
   /// accessible, the global candidate list, each candidate method's charge
-  /// (under an additive cost), and the compiled InferredAccQ /
-  /// inferred-constraint patterns. Call exactly once, before any other
-  /// method. Does not count the node — the driver owns node accounting.
+  /// (under an additive cost), and the compiled InferredAccQ pattern. Call
+  /// exactly once, before any other method. Does not count the node — the
+  /// driver owns node accounting.
   Result<SearchNode> InitRoot(ChaseEngine& engine, SearchStats& stats);
 
   /// Advances node.cursor past removed and non-fireable candidates; returns
@@ -171,12 +193,9 @@ class SearchCore {
            std::find(free_var_terms_.begin(), free_var_terms_.end(), term) !=
                free_var_terms_.end();
   }
-  Fact AccessedFact(const Fact& base_fact) const {
-    return Fact(acc_.AccessedOf(base_fact.relation), base_fact.terms);
-  }
-  bool IsAccessed(const ChaseConfig& config, const Fact& base_fact) const {
-    return config.Contains(acc_.AccessedOf(base_fact.relation),
-                           base_fact.terms);
+  bool IsAccessed(const ChaseConfig& config, FactRef base_fact) const {
+    return config.Contains(
+        FactRef{acc_.AccessedOf(base_fact.relation), base_fact.terms});
   }
   /// "#p{i}": the raw access table's column for position i.
   const std::string& PositionColumn(int i) const {
@@ -184,6 +203,7 @@ class SearchCore {
   }
 
   const AccessibleSchema& acc_;
+  const CompiledConstraints& compiled_;
   const CostFunction& cost_;
   const ConjunctiveQuery& query_;
   const SearchOptions& options_;
@@ -200,9 +220,9 @@ class SearchCore {
   /// methods (InitRoot).
   double cheapest_access_ = 0;
 
+  /// Layers over compiled_.constants.
   TermArena arena_;
   std::vector<std::string> position_columns_;
-  std::vector<CompiledTgd> compiled_inferred_;
   std::vector<Candidate> all_candidates_;
   /// InferredAccQ compiled for success checks; free variables pre-bound to
   /// their canonical nulls.

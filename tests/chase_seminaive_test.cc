@@ -52,8 +52,9 @@ std::vector<std::pair<RelationId, std::vector<ChaseTermId>>> SortedFacts(
     const ChaseConfig& config) {
   std::vector<std::pair<RelationId, std::vector<ChaseTermId>>> facts;
   facts.reserve(config.size());
-  for (const Fact& fact : config.facts()) {
-    facts.emplace_back(fact.relation, fact.terms);
+  for (const FactRef fact : config.facts()) {
+    facts.emplace_back(fact.relation, std::vector<ChaseTermId>(
+                                          fact.terms.begin(), fact.terms.end()));
   }
   std::sort(facts.begin(), facts.end());
   return facts;
@@ -70,7 +71,7 @@ bool EmbedsInto(const ChaseRun& a, const ChaseRun& b) {
   }
   std::unordered_map<ChaseTermId, int> var_of;
   std::vector<PatternAtom> pattern;
-  for (const Fact& fact : a.config.facts()) {
+  for (const FactRef fact : a.config.facts()) {
     PatternAtom atom;
     atom.relation = fact.relation;
     for (ChaseTermId t : fact.terms) {

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "lcp/data/query_eval.h"
 #include "lcp/runtime/executor.h"
 #include "lcp/base/strings.h"
+#include "lcp/schema/parser.h"
 #include "lcp/workload/scenarios.h"
 
 namespace lcp {
@@ -415,6 +420,80 @@ TEST(ProofSearchTest, ViewScenarioRewritesOverViews) {
 
   EXPECT_EQ(RunPlan(found->plan, *scenario->schema, instance),
             OracleRows(scenario->query, instance));
+}
+
+TEST(ProofSearchTest, ConstraintConstantsServeConcurrentSearches) {
+  // Dir has no access, and Dir(e) <-> Emp(e, "sales"): the only plan for
+  // Dir needs both constraints, whose constant "sales" is compiled once per
+  // ProofSearch into the base arena every search's arena layers over. Q1
+  // mentions the constant only through the constraints; Q2 shares it with
+  // the query, which makes it accessible and the cheap by-department
+  // access usable.
+  Schema schema;
+  const RelationId emp = schema.AddRelation("Emp", 2).value();
+  const RelationId dir = schema.AddRelation("Dir", 1).value();
+  schema.AddAccessMethod("mt_emp", emp, {}, 3.0).value();
+  schema.AddAccessMethod("mt_emp_by_dept", emp, {1}, 1.0).value();
+  ASSERT_TRUE(
+      schema.AddConstraint(*ParseTgd(schema, "Dir(e) -> Emp(e, \"sales\")"))
+          .ok());
+  ASSERT_TRUE(
+      schema.AddConstraint(*ParseTgd(schema, "Emp(e, \"sales\") -> Dir(e)"))
+          .ok());
+  auto accessible = AccessibleSchema::Build(schema, AccessibleVariant::kStandard);
+  ASSERT_TRUE(accessible.ok()) << accessible.status();
+  SimpleCostFunction cost(&schema);
+  const ProofSearch search(&*accessible, &cost);
+  const std::vector<ConjunctiveQuery> queries = {
+      ParseQuery(schema, "Q1(x) :- Dir(x)").value(),
+      ParseQuery(schema, "Q2(x) :- Dir(x), Emp(x, \"sales\")").value()};
+
+  Instance instance(&schema);
+  for (int e = 1; e <= 4; ++e) {
+    const bool sales = e % 2 == 1;
+    instance.AddFact(emp, Tuple{Value::Int(e), Value::Str(sales ? "sales" : "hr")});
+    if (sales) instance.AddFact(dir, Tuple{Value::Int(e)});
+  }
+  ASSERT_TRUE(SatisfiesConstraints(instance))
+      << StrJoin(ViolatedConstraints(instance), ", ");
+
+  const SearchOptions options;
+  std::vector<std::string> expected;
+  for (const ConjunctiveQuery& query : queries) {
+    auto outcome = search.Run(query, options);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    ASSERT_TRUE(outcome->best.has_value()) << query.name;
+    const Plan& plan = outcome->best->plan;
+    EXPECT_NE(plan.ToString(schema).find("\"sales\""), std::string::npos)
+        << plan.ToString(schema);
+    EXPECT_EQ(RunPlan(plan, schema, instance), OracleRows(query, instance))
+        << query.name;
+    expected.push_back(StrCat(outcome->best->cost, "\n", plan.ToString(schema)));
+  }
+  EXPECT_EQ(expected[0].substr(0, 2), "3\n") << expected[0];
+  EXPECT_EQ(expected[1].substr(0, 2), "1\n") << expected[1];
+
+  // Four threads share the one ProofSearch and find the same plans.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 25;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          auto outcome = search.Run(queries[q], options);
+          if (!outcome.ok() || !outcome->best.has_value() ||
+              StrCat(outcome->best->cost, "\n",
+                     outcome->best->plan.ToString(schema)) != expected[q]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

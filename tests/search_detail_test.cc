@@ -331,14 +331,15 @@ TEST(DominanceStoreTest, SignatureFilterMatchesBruteForceScan) {
   ASSERT_TRUE(accessible.ok());
   SimpleCostFunction cost(scenario.schema.get());
   SearchOptions options;
-  SearchCore core(*accessible, cost, scenario.query, options);
+  search_internal::CompiledConstraints compiled(*accessible);
+  SearchCore core(*accessible, compiled, cost, scenario.query, options);
   ChaseEngine engine(&core.schema(), &core.arena());
   SearchStats stats;
   auto root = core.InitRoot(engine, stats);
   ASSERT_TRUE(root.ok()) << root.status();
 
   std::vector<ChaseTermId> terms;
-  for (const Fact& fact : root->config.facts()) {
+  for (const FactRef fact : root->config.facts()) {
     terms.insert(terms.end(), fact.terms.begin(), fact.terms.end());
   }
   for (int i = 0; i < 4; ++i) terms.push_back(core.arena().NewNull("n", 1));

@@ -68,8 +68,9 @@ struct RandomCase {
 
 /// 2-5 relations of arity 1-3 with 1-3 access methods each (random input
 /// positions; costs mix integer ties and reals), 0-3 acyclic TGDs with
-/// existentials and sometimes two-atom bodies, one schema constant, and a
-/// query of 1-4 atoms with random free variables.
+/// existentials, sometimes two-atom bodies and sometimes the schema constant
+/// in a body or head position, one schema constant, and a query of 1-4
+/// atoms with random free variables.
 RandomCase MakeRandomCase(std::mt19937& rng) {
   auto pick = [&rng](int n) { return static_cast<int>(rng() % n); };
   RandomCase c;
@@ -96,12 +97,17 @@ RandomCase MakeRandomCase(std::mt19937& rng) {
   }
   schema.AddConstant(Value::Str("k"));
 
-  // An atom over `relation` on the variables x0 and x1; with
-  // `existentials`, each position may get a new variable z0, z1, ... instead.
+  // An atom over `relation` on the variables x0 and x1, and sometimes the
+  // schema constant; with `existentials`, each position may get a new
+  // variable z0, z1, ... instead.
   int num_existential = 0;
   auto atom = [&](int relation, bool existentials) {
     std::vector<std::string> terms;
     for (int pos = 0; pos < arity[relation]; ++pos) {
+      if (pick(6) == 0) {
+        terms.push_back("\"k\"");
+        continue;
+      }
       terms.push_back(existentials && pick(2) == 0
                           ? StrCat("z", num_existential++)
                           : StrCat("x", pick(2)));
