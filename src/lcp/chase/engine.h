@@ -106,7 +106,9 @@ class ChaseEngine {
   Result<ChaseStats> Run(const std::vector<CompiledTgd>& tgds,
                          const ChaseOptions& options, ChaseConfig& config);
 
-  /// Convenience: compiles and runs raw TGDs.
+  /// Convenience: compiles and runs raw TGDs. It compiles on every call;
+  /// callers that chase the same TGDs again compile them once (CompileTgd,
+  /// possibly into a base arena; see TermArena) and run those.
   Result<ChaseStats> Run(const std::vector<Tgd>& tgds,
                          const ChaseOptions& options, ChaseConfig& config);
 

@@ -3,15 +3,15 @@
 namespace lcp {
 
 TermArena::TermArena(const TermArena* base)
-    : base_(base),
-      base_constants_(base->base_constants_ + base->constants_.size()) {
-  LCP_CHECK(base->num_nulls() == 0) << "a base arena holds constants only";
+    : base_(base), base_constants_(base->constants_.size()) {
+  LCP_CHECK(base->base_ == nullptr && base->num_nulls() == 0)
+      << "a base arena holds constants only";
 }
 
 ChaseTermId TermArena::InternConstant(const Value& value) {
-  for (const TermArena* arena = base_; arena != nullptr; arena = arena->base_) {
-    auto it = arena->constant_ids_.find(value);
-    if (it != arena->constant_ids_.end()) return it->second;
+  if (base_ != nullptr) {
+    auto it = base_->constant_ids_.find(value);
+    if (it != base_->constant_ids_.end()) return it->second;
   }
   auto it = constant_ids_.find(value);
   if (it != constant_ids_.end()) return it->second;

@@ -35,9 +35,10 @@ inline constexpr ChaseTermId kUnboundTerm =
 class TermArena {
  public:
   TermArena() = default;
-  /// Layers over `base`, which must outlive this arena, hold no nulls and
-  /// not change while this arena lives. Reads of `base` are const, so many
-  /// arenas may layer over one base from different threads.
+  /// Layers over `base`, which must outlive this arena, hold no nulls, not
+  /// itself layer over another arena, and not change while this arena
+  /// lives. Reads of `base` are const, so many arenas may layer over one
+  /// base from different threads.
   explicit TermArena(const TermArena* base);
   TermArena(const TermArena&) = delete;
   TermArena& operator=(const TermArena&) = delete;
@@ -59,7 +60,7 @@ class TermArena {
   const Value& ConstantOf(ChaseTermId id) const {
     LCP_CHECK(IsConstant(id));
     const size_t k = static_cast<size_t>(-1 - id);
-    return k < base_constants_ ? base_->ConstantOf(id)
+    return k < base_constants_ ? base_->constants_[k]
                                : constants_[k - base_constants_];
   }
 
