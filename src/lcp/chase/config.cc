@@ -29,7 +29,7 @@ void ChaseConfig::CopyFacts(const ChaseConfig& other) {
 }
 
 bool ChaseConfig::Add(FactRef fact) {
-  const size_t hash = FactHash::Hash(fact.relation, fact.terms);
+  const size_t hash = FactHash()(fact);
   if (!slots_.empty() && slots_[SlotOf(fact, hash)] >= 0) return false;
   if (2 * (records_.size() + 1) > slots_.size()) GrowSlots();
   const int index = static_cast<int>(records_.size());
@@ -67,9 +67,7 @@ bool ChaseConfig::Add(FactRef fact) {
 void ChaseConfig::GrowSlots() {
   slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), -1);
   for (size_t i = 0; i < records_.size(); ++i) {
-    const FactRef f = fact(i);
-    slots_[SlotOf(f, FactHash::Hash(f.relation, f.terms))] =
-        static_cast<int32_t>(i);
+    slots_[SlotOf(fact(i), FactHash()(fact(i)))] = static_cast<int32_t>(i);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ranges>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -19,7 +20,7 @@ namespace lcp {
 /// positional indexes for homomorphism search. Configurations are value
 /// types: search nodes copy them when branching.
 ///
-/// Layout (DESIGN.md §8): the terms of all facts live in one contiguous
+/// Layout (DESIGN.md §4): the terms of all facts live in one contiguous
 /// array, each fact is a (relation, offset, arity) record into it, and the
 /// per-relation index is one array of fact indexes grouped by relation plus
 /// per-relation offsets. Copying a configuration is a few block copies, and
@@ -49,9 +50,7 @@ class ChaseConfig {
   /// relation): its terms are read before anything moves.
   bool Add(FactRef fact);
   bool Contains(FactRef fact) const {
-    return !slots_.empty() &&
-           slots_[SlotOf(fact, FactHash::Hash(fact.relation, fact.terms))] >=
-               0;
+    return !slots_.empty() && slots_[SlotOf(fact, FactHash()(fact))] >= 0;
   }
 
   size_t size() const { return records_.size(); }
@@ -64,46 +63,12 @@ class ChaseConfig {
                                    terms_.data() + r.offset, r.arity)};
   }
 
-  /// All facts in insertion order, as views (see fact()).
-  class FactRange {
-   public:
-    class Iterator {
-     public:
-      using value_type = FactRef;
-      using difference_type = std::ptrdiff_t;
-      Iterator() = default;
-      Iterator(const ChaseConfig* config, size_t index)
-          : config_(config), index_(index) {}
-      FactRef operator*() const { return config_->fact(index_); }
-      Iterator& operator++() {
-        ++index_;
-        return *this;
-      }
-      Iterator operator++(int) {
-        Iterator before = *this;
-        ++index_;
-        return before;
-      }
-      friend bool operator==(const Iterator& a, const Iterator& b) {
-        return a.index_ == b.index_;
-      }
-
-     private:
-      const ChaseConfig* config_ = nullptr;
-      size_t index_ = 0;
-    };
-
-    explicit FactRange(const ChaseConfig* config) : config_(config) {}
-    size_t size() const { return config_->size(); }
-    bool empty() const { return config_->size() == 0; }
-    FactRef operator[](size_t i) const { return config_->fact(i); }
-    Iterator begin() const { return Iterator(config_, 0); }
-    Iterator end() const { return Iterator(config_, config_->size()); }
-
-   private:
-    const ChaseConfig* config_;
-  };
-  FactRange facts() const { return FactRange(this); }
+  /// All facts in insertion order, as views (see fact()): a sized,
+  /// random-access range.
+  auto facts() const {
+    return std::views::iota(size_t{0}, size()) |
+           std::views::transform([this](size_t i) { return fact(i); });
+  }
 
   /// Indexes into facts() of the facts over `relation`, ascending. Valid
   /// until the next Add.

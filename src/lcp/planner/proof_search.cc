@@ -31,11 +31,10 @@ using search_internal::SearchNode;
 /// exploration log are deterministic.
 class SearchDriver {
  public:
-  SearchDriver(const AccessibleSchema& acc,
-               const search_internal::CompiledConstraints& compiled,
+  SearchDriver(const search_internal::CompiledConstraints& compiled,
                const CostFunction& cost, const ConjunctiveQuery& query,
                const SearchOptions& options)
-      : core_(acc, compiled, cost, query, options), options_(options) {}
+      : core_(compiled, cost, query, options), options_(options) {}
 
   Result<SearchOutcome> Run() {
     Budget* budget = options_.budget;
@@ -188,7 +187,7 @@ Result<SearchOutcome> ProofSearch::Run(const ConjunctiveQuery& query,
         "accessible schema with AccessibleVariant::kStandard");
   }
   Result<SearchOutcome> result =
-      SearchDriver(*accessible_, *compiled_, *cost_, query, options).Run();
+      SearchDriver(*compiled_, *cost_, query, options).Run();
   if (!result.ok() || !options.optimize_plans) return result;
 
   // Post-search optimization (DESIGN.md §11). Optimizer failures are never

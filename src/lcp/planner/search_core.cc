@@ -10,7 +10,8 @@
 namespace lcp {
 namespace search_internal {
 
-CompiledConstraints::CompiledConstraints(const AccessibleSchema& acc) {
+CompiledConstraints::CompiledConstraints(const AccessibleSchema& accessible)
+    : acc(accessible) {
   for (const Tgd& tgd : acc.original_constraints()) {
     original.push_back(CompileTgd(tgd, constants));
   }
@@ -19,12 +20,11 @@ CompiledConstraints::CompiledConstraints(const AccessibleSchema& acc) {
   }
 }
 
-SearchCore::SearchCore(const AccessibleSchema& acc,
-                       const CompiledConstraints& compiled,
+SearchCore::SearchCore(const CompiledConstraints& compiled,
                        const CostFunction& cost,
                        const ConjunctiveQuery& query,
                        const SearchOptions& options)
-    : acc_(acc),
+    : acc_(compiled.acc),
       compiled_(compiled),
       cost_(cost),
       query_(query),

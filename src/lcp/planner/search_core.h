@@ -22,16 +22,19 @@ namespace lcp {
 namespace search_internal {
 
 /// What every search of one ProofSearch shares, read-only (DESIGN.md §8):
-/// the original constraints and their inferred-accessible copies, compiled
-/// once against `constants`, a base arena holding their constants that each
-/// search's arena layers over. Everything else a search needs stays per
-/// search: the schema's constants (the schema may be edited in place),
-/// the method charges (priced through the cost function), the candidate
-/// list and the exclusion mask (they depend on the query and the options).
+/// the accessible schema, and its original constraints and their
+/// inferred-accessible copies compiled once against `constants`, a base
+/// arena holding their constants that each search's arena layers over.
+/// Everything else a search needs stays per search: the schema's constants
+/// (the schema may be edited in place), the method charges (priced through
+/// the cost function), the candidate list and the exclusion mask (they
+/// depend on the query and the options).
 struct CompiledConstraints {
-  /// `acc` must outlive the result, and its constraints must not change.
-  explicit CompiledConstraints(const AccessibleSchema& acc);
+  /// `accessible` must outlive the result, and its constraints must not
+  /// change.
+  explicit CompiledConstraints(const AccessibleSchema& accessible);
 
+  const AccessibleSchema& acc;
   TermArena constants;
   /// For the root closure ("Original Schema Reasoning First").
   std::vector<CompiledTgd> original;
@@ -98,11 +101,9 @@ struct SearchNode {
 /// and node bookkeeping stay in the driver.
 class SearchCore {
  public:
-  /// `compiled` must be compiled from `acc`; the search's arena layers over
-  /// its constants.
-  SearchCore(const AccessibleSchema& acc, const CompiledConstraints& compiled,
-             const CostFunction& cost, const ConjunctiveQuery& query,
-             const SearchOptions& options);
+  /// The search's arena layers over `compiled`'s constants.
+  SearchCore(const CompiledConstraints& compiled, const CostFunction& cost,
+             const ConjunctiveQuery& query, const SearchOptions& options);
 
   /// Builds the root node: canonical database of the query, root closure
   /// under the compiled original constraints, schema/query constants marked

@@ -332,7 +332,7 @@ TEST(DominanceStoreTest, SignatureFilterMatchesBruteForceScan) {
   SimpleCostFunction cost(scenario.schema.get());
   SearchOptions options;
   search_internal::CompiledConstraints compiled(*accessible);
-  SearchCore core(*accessible, compiled, cost, scenario.query, options);
+  SearchCore core(compiled, cost, scenario.query, options);
   ChaseEngine engine(&core.schema(), &core.arena());
   SearchStats stats;
   auto root = core.InitRoot(engine, stats);
